@@ -104,30 +104,15 @@ fn median_ms(samples: &mut [f64]) -> f64 {
     samples[samples.len() / 2]
 }
 
-/// Deterministic pseudo-random regression data set on the unit cube: a
-/// smooth anisotropic test function with a mild pairwise interaction, so GP
-/// training has real structure to fit (not pure noise).
+/// The GP benchmarks' regression data set at the paper's dimensionality
+/// (see [`cets_bench::gp_dataset`]).
 fn dataset(n: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let xs: Vec<Vec<f64>> = (0..n)
-        .map(|_| (0..DIM).map(|_| rng.random::<f64>()).collect())
-        .collect();
-    let ys: Vec<f64> = xs
-        .iter()
-        .map(|x| {
-            let smooth: f64 = x
-                .iter()
-                .enumerate()
-                .map(|(i, &v)| ((i + 1) as f64 * v).sin() / (i + 1) as f64)
-                .sum();
-            smooth + 0.5 * x[0] * x[1]
-        })
-        .collect();
-    (xs, ys)
+    cets_bench::gp_dataset(n, DIM, seed)
 }
 
-/// Time `Gp::train` (multi-start Nelder–Mead over the LML) at size `n`,
-/// pinned to a `threads`-worker budget.
+/// Time `Gp::train` (multi-start L-BFGS over the LML and its gradient) at
+/// size `n`, pinned to a `threads`-worker budget. Throughput divides the
+/// likelihood-plus-gradient evaluations the fit counted by the median time.
 fn bench_gp_train(id: &'static str, n: usize, reps: usize, threads: usize) -> BenchResult<Measure> {
     let (xs, ys) = dataset(n, 0xC0FFEE ^ n as u64);
     let cfg = GpConfig {
@@ -135,24 +120,32 @@ fn bench_gp_train(id: &'static str, n: usize, reps: usize, threads: usize) -> Be
         ..GpConfig::default()
     };
     let mut samples = Vec::with_capacity(reps);
+    let mut fitted = None;
     for _ in 0..reps {
         let t = Instant::now();
         let gp = Gp::train(&xs, &ys, &cfg).map_err(|e| format!("{id}: gp train: {e}"))?;
         samples.push(t.elapsed().as_secs_f64() * 1e3);
-        assert!(gp.lml().is_finite());
+        fitted = Some(gp);
+    }
+    let gp = fitted.ok_or_else(|| format!("{id}: no repetitions"))?;
+    if !gp.lml().is_finite() {
+        return Err(format!("{id}: non-finite LML"));
     }
     let med = median_ms(&mut samples);
-    // Upper-bound estimate of LML evaluations per second: Nelder–Mead may
-    // converge before exhausting its budget, so the true rate is >= this.
-    let lml_evals = (cfg.n_restarts.max(1) * cfg.nm.max_evals) as f64;
+    // Every repetition is the same deterministic fit, so one model's
+    // counters describe them all.
+    let lml_evals = gp.train_stats().total_evals();
     Ok(Measure {
         id,
         median_ms: med,
-        evals_per_sec: lml_evals / (med / 1e3),
-        eval_unit: "lml_evals (budget upper bound)",
+        evals_per_sec: lml_evals as f64 / (med / 1e3),
+        eval_unit: "lml_evals (value + gradient, counted)",
         reps,
         threads_used: threads,
-        extra: Vec::new(),
+        extra: vec![
+            ("lml_evals", Value::UInt(lml_evals as u64)),
+            ("lml", Value::Float(gp.lml())),
+        ],
     })
 }
 
@@ -298,7 +291,8 @@ fn bench_propose(id: &'static str, n: usize, reps: usize) -> BenchResult<Measure
     })
 }
 
-/// Time `Surrogate::train` with the sparse (SGPR) tier forced at size `n`.
+/// Time sparse-tier (SGPR) training at size `n` — what `Surrogate::train`
+/// runs under `TierPolicy::Sparse` — counting the ELBO evaluations it used.
 ///
 /// When `exact_ref = Some((n0, ms0))` — the measured `Gp::train` cost at a
 /// size the exact tier can still afford — the entry also records
@@ -319,18 +313,24 @@ fn bench_sparse_train(
         ..GpConfig::default()
     };
     let mut samples = Vec::with_capacity(reps);
+    let mut elbo_evals = 0;
     for _ in 0..reps {
         let t = Instant::now();
-        let s = Surrogate::train(&xs, &ys, &cfg).map_err(|e| format!("{id}: sparse train: {e}"))?;
+        // The trace has one entry per ELBO evaluation: the counted work.
+        let (s, trace) = SparseGp::train_traced(&xs, &ys, &cfg)
+            .map_err(|e| format!("{id}: sparse train: {e}"))?;
         samples.push(t.elapsed().as_secs_f64() * 1e3);
-        assert!(s.evidence().is_finite());
+        assert!(s.elbo().is_finite());
+        elbo_evals = trace.len();
     }
     let med = median_ms(&mut samples);
-    let elbo_evals = (cfg.sparse.n_restarts.max(1) * cfg.sparse.nm.max_evals) as f64;
-    let mut extra = vec![(
-        "m_inducing",
-        Value::Int(cfg.sparse.m_inducing.min(n) as i64),
-    )];
+    let mut extra = vec![
+        (
+            "m_inducing",
+            Value::Int(cfg.sparse.m_inducing.min(n) as i64),
+        ),
+        ("elbo_evals", Value::UInt(elbo_evals as u64)),
+    ];
     if let Some((n0, ms0)) = exact_ref {
         let extrapolated = ms0 * (n as f64 / n0 as f64).powi(3);
         extra.push(("exact_extrapolated_ms", Value::Float(extrapolated)));
@@ -342,8 +342,8 @@ fn bench_sparse_train(
     Ok(Measure {
         id,
         median_ms: med,
-        evals_per_sec: elbo_evals / (med / 1e3),
-        eval_unit: "elbo_evals (budget upper bound)",
+        evals_per_sec: elbo_evals as f64 / (med / 1e3),
+        eval_unit: "elbo_evals (counted)",
         reps,
         threads_used: threads,
         extra,

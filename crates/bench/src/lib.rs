@@ -18,6 +18,32 @@
 use cets_core::{routine_sensitivity, BoConfig, Objective, VariationPolicy};
 use cets_tddft::TddftSimulator;
 
+/// Deterministic pseudo-random regression data set on the unit cube: `n`
+/// points in `dim` dimensions and a smooth anisotropic test function with
+/// a mild pairwise interaction, so GP training has real structure to fit
+/// (not pure noise). `perf_suite`'s GP benchmarks train on it, and the
+/// fit-quality test pins the likelihood reached on it.
+pub fn gp_dataset(n: usize, dim: usize, seed: u64) -> (Vec<Vec<f64>>, Vec<f64>) {
+    use rand::rngs::StdRng;
+    use rand::{RngExt, SeedableRng};
+    let mut rng = StdRng::seed_from_u64(seed);
+    let xs: Vec<Vec<f64>> = (0..n)
+        .map(|_| (0..dim).map(|_| rng.random::<f64>()).collect())
+        .collect();
+    let ys: Vec<f64> = xs
+        .iter()
+        .map(|x| {
+            let smooth: f64 = x
+                .iter()
+                .enumerate()
+                .map(|(i, &v)| ((i + 1) as f64 * v).sin() / (i + 1) as f64)
+                .sum();
+            smooth + 0.5 * x[0] * x[1]
+        })
+        .collect();
+    (xs, ys)
+}
+
 /// Parse `--reps N` and `--quick` from argv.
 pub struct ExpArgs {
     /// Number of repetitions for averaged experiments.

@@ -102,8 +102,8 @@ pub struct BoConfig {
     /// Re-optimize GP hyperparameters every this many evaluations; between
     /// re-trainings the cached surrogate absorbs each new observation
     /// through its incremental append fast path (`O(n²)` on the exact
-    /// tier, `O(m²)` on the sparse tier) instead of re-running the inner
-    /// Nelder–Mead.
+    /// tier, `O(m²)` on the sparse tier) instead of re-running the
+    /// hyperparameter optimizer.
     ///
     /// This is also the **refit contract** for append conditioning:
     /// appends extend the cached factorization without re-examining it, so

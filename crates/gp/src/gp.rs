@@ -1,7 +1,7 @@
 //! Exact Gaussian-process regression with maximum-likelihood training.
 
-use crate::kernel::{Kernel, KernelKind};
-use crate::optimize::{nelder_mead, NelderMeadOptions};
+use crate::kernel::{Kernel, KernelKind, LOG_PARAM_CLAMP};
+use crate::optimize::{lbfgs, LbfgsOptions};
 use crate::{GpError, Result};
 use cets_linalg::{par, Cholesky, Matrix, ParConfig};
 use rand::rngs::StdRng;
@@ -23,8 +23,9 @@ pub struct GpConfig {
     pub noise_floor: f64,
     /// Also optimize the noise variance (otherwise it stays at the floor).
     pub optimize_noise: bool,
-    /// Inner Nelder–Mead options.
-    pub nm: NelderMeadOptions,
+    /// Per-restart L-BFGS options: the cap on likelihood-plus-gradient
+    /// evaluations and the convergence tolerances.
+    pub lbfgs: LbfgsOptions,
     /// Surrogate tier policy consulted by [`crate::Surrogate::train`]:
     /// exact GP below a training-set-size threshold, sparse (SGPR) at or
     /// above it, or an explicit override. Direct [`Gp::train`] calls
@@ -34,8 +35,9 @@ pub struct GpConfig {
     /// sparse surrogate.
     pub sparse: crate::SparseOptions,
     /// Worker budget for training. The budget is split across the two
-    /// parallel levels — Nelder–Mead restarts on the outside, kernel
-    /// builds and Cholesky panels on the inside — and every split
+    /// parallel levels — L-BFGS restarts on the outside, kernel builds,
+    /// Cholesky panels, the inverse and the gradient sums on the inside —
+    /// and every split
     /// produces bit-identical hyperparameters (fixed partitioning,
     /// fixed-order winner selection).
     pub par: ParConfig,
@@ -49,7 +51,7 @@ impl Default for GpConfig {
             seed: 0,
             noise_floor: 1e-6,
             optimize_noise: true,
-            nm: NelderMeadOptions::default(),
+            lbfgs: LbfgsOptions::default(),
             tier: crate::TierPolicy::default(),
             sparse: crate::SparseOptions::default(),
             par: ParConfig::default(),
@@ -64,6 +66,24 @@ impl Default for GpConfig {
 /// appends stay orders of magnitude below it (the noise floor keeps every
 /// pivot at `√noise` or larger).
 pub const APPEND_CONDITION_LIMIT: f64 = 1e12;
+
+/// Work [`Gp::train`] actually did, as counted (not budgeted): the
+/// likelihood-plus-gradient evaluations each restart used and which
+/// restart won. A model built by [`Gp::fit`] carries the empty default.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TrainStats {
+    /// Evaluations per restart, in restart order.
+    pub evals: Vec<usize>,
+    /// Index of the restart whose hyperparameters the model uses.
+    pub winner: usize,
+}
+
+impl TrainStats {
+    /// Evaluations summed over all restarts.
+    pub fn total_evals(&self) -> usize {
+        self.evals.iter().sum()
+    }
+}
 
 /// A fitted Gaussian process.
 ///
@@ -83,6 +103,7 @@ pub struct Gp {
     y_mean: f64,
     y_std: f64,
     lml: f64,
+    stats: TrainStats,
 }
 
 impl Gp {
@@ -125,11 +146,13 @@ impl Gp {
             y_mean,
             y_std,
             lml,
+            stats: TrainStats::default(),
         })
     }
 
-    /// Train with maximum-likelihood hyperparameters: multi-start
-    /// Nelder–Mead over `[ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`.
+    /// Train with maximum-likelihood hyperparameters: multi-start L-BFGS
+    /// over `[ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`, driven by the analytic
+    /// gradient of the log marginal likelihood.
     pub fn train(x: &[Vec<f64>], y: &[f64], cfg: &GpConfig) -> Result<Self> {
         let n = x.len();
         if n == 0 || y.len() != n {
@@ -149,10 +172,10 @@ impl Gp {
         let opt_noise = cfg.optimize_noise;
         let floor = cfg.noise_floor.max(1e-12);
 
-        // The worker budget splits across two levels: independent
-        // Nelder–Mead restarts on the outside (near-perfect scaling) and
-        // the per-evaluation kernel build / Cholesky inside each restart
-        // taking whatever is left over.
+        // The worker budget splits across two levels: independent L-BFGS
+        // restarts on the outside (near-perfect scaling) and the
+        // per-evaluation kernel build, Cholesky, inverse and gradient
+        // inside each restart taking whatever is left over.
         let threads = cfg.par.resolve();
         let starts = cfg.n_restarts.max(1);
         let ow = threads.min(starts);
@@ -160,41 +183,24 @@ impl Gp {
 
         // The per-dimension pairwise squared differences do not depend on
         // the hyperparameters, so they are computed once here and shared
-        // by every likelihood evaluation of every Nelder–Mead restart —
-        // each evaluation then builds the kernel matrix with one fused
-        // multiply-add pass over the tensor instead of recomputing all
-        // O(n²d) distances through the generic kernel entry point.
+        // by every likelihood evaluation of every restart — each
+        // evaluation then builds the kernel matrix with one fused
+        // multiply-add pass over the tensor, and the length-scale
+        // gradient is one dot product per dimension against it.
         let tensor = PairTensor::new_with(x, threads);
-
-        // One restart: Nelder–Mead from `p0` over the negative LML of the
-        // standardized targets, with its own factorization scratch so
-        // restarts can run concurrently.
-        let run_start = |p0: &[f64]| -> (Vec<f64>, f64) {
-            let scratch = std::cell::RefCell::new(LmlScratch {
-                k: Matrix::zeros(n, n),
-                r2: vec![0.0; tensor.n_pairs()],
-            });
-            let neg_lml = |p: &[f64]| -> f64 {
-                let (kp, noise) = if opt_noise {
-                    let (kp, np_) = p.split_at(p.len() - 1);
-                    (kp, np_[0].clamp(-27.0, 3.0).exp().max(floor))
-                } else {
-                    (p, floor)
-                };
-                let kernel = Kernel::from_log_params(cfg.kernel, kp);
-                let mut s = scratch.borrow_mut();
-                match lml_cached(&tensor, &ys, &kernel, noise, &mut s, iw) {
-                    Some(v) => -v,
-                    None => f64::INFINITY,
-                }
-            };
-            nelder_mead(neg_lml, p0, &cfg.nm)
+        let objective = LmlObjective {
+            tensor: &tensor,
+            ys: &ys,
+            kind: cfg.kernel,
+            opt_noise,
+            floor,
+            workers: iw,
         };
 
         // Start points are pre-drawn from the single RNG stream in restart
-        // order (Nelder–Mead itself consumes no randomness), so the draws
-        // are identical to the sequential loop's; the winner fold below
-        // walks restarts in the same ascending order with the same strict
+        // order (L-BFGS itself consumes no randomness), so the draws are
+        // identical to the sequential loop's; the winner fold below walks
+        // restarts in the same ascending order with the same strict
         // comparison, making the result bit-identical at any worker count.
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let p0s: Vec<Vec<f64>> = (0..starts)
@@ -211,23 +217,41 @@ impl Gp {
                 p0
             })
             .collect();
-        let mut best: Option<(Vec<f64>, f64)> = None;
-        for (p, f) in par::map_indexed(ow, starts, |s| run_start(&p0s[s])) {
-            if f.is_finite() && best.as_ref().is_none_or(|(_, bf)| f < *bf) {
-                best = Some((p, f));
+        // One restart: L-BFGS from `p0` over the negative LML, with its own
+        // factorization scratch so restarts can run concurrently.
+        let runs = par::map_indexed(ow, starts, |s| {
+            let mut scratch = LmlScratch::new(n, tensor.n_pairs());
+            lbfgs(
+                |p: &[f64], grad: &mut [f64]| objective.neg_lml_grad(p, &mut scratch, grad),
+                &p0s[s],
+                &cfg.lbfgs,
+            )
+        });
+        let mut stats = TrainStats {
+            evals: runs.iter().map(|r| r.evals).collect(),
+            winner: 0,
+        };
+        let mut best: Option<(usize, f64)> = None;
+        for (s, r) in runs.iter().enumerate() {
+            if r.f.is_finite() && best.is_none_or(|(_, bf)| r.f < bf) {
+                best = Some((s, r.f));
             }
         }
-        let (p, _) = best.ok_or_else(|| {
+        let (winner, _) = best.ok_or_else(|| {
             GpError::TrainingFailed("no restart produced a finite likelihood".into())
         })?;
-        let (kp, noise) = if opt_noise {
-            let (kp, np_) = p.split_at(p.len() - 1);
-            (kp, np_[0].clamp(-27.0, 3.0).exp().max(floor))
-        } else {
-            (p.as_slice(), floor)
-        };
-        let kernel = Kernel::from_log_params(cfg.kernel, kp);
-        Self::fit(x, y, kernel, noise)
+        stats.winner = winner;
+        let (kernel, noise) = unpack_log_params(cfg.kernel, &runs[winner].x, opt_noise, floor);
+        let mut gp = Self::fit(x, y, kernel, noise)?;
+        gp.stats = stats;
+        Ok(gp)
+    }
+
+    /// What the [`Gp::train`] call that produced this model did: counted
+    /// likelihood evaluations per restart and the winning restart. Empty
+    /// for a model built by [`Gp::fit`].
+    pub fn train_stats(&self) -> &TrainStats {
+        &self.stats
     }
 
     /// Predictive mean and variance (original units) at `x_star`.
@@ -623,6 +647,13 @@ impl PairTensor {
         self.n * (self.n - 1) / 2
     }
 
+    /// Dimension `k`'s slice: `(x_i[k] − x_j[k])²` over the pairs in row
+    /// order.
+    pub(crate) fn dim(&self, k: usize) -> &[f64] {
+        let np = self.n_pairs();
+        &self.data[k * np..(k + 1) * np]
+    }
+
     /// `acc[p] = Σ_k w[k] · data[k][p]` — the fused multiply-add pass.
     pub(crate) fn weighted_r2(&self, w: &[f64], acc: &mut [f64]) {
         self.weighted_r2_with(w, acc, 1);
@@ -660,36 +691,179 @@ impl PairTensor {
     }
 }
 
-/// Reusable buffers for [`lml_cached`]: the kernel matrix and the packed
-/// pairwise `r²` vector survive across likelihood evaluations, so the hot
-/// loop performs no allocations besides the Cholesky factor itself.
+/// Reusable buffers for [`LmlObjective::neg_lml_grad`]: the kernel
+/// matrix, the packed pairwise `r²` vector, `L⁻¹`, `W = K⁻¹ − ααᵀ` and the
+/// packed `W ⊙ g′` survive across likelihood evaluations, so the hot loop
+/// allocates nothing besides the Cholesky factor and `α`.
 struct LmlScratch {
     k: Matrix,
     r2: Vec<f64>,
+    linv: Matrix,
+    w: Matrix,
+    v: Vec<f64>,
 }
 
-/// Log marginal likelihood with the kernel matrix rebuilt from the cached
-/// distance tensor (one weighted reduction + one profile pass) instead of
-/// O(n²d) fresh distance computations, using up to `workers` threads for
-/// the rebuild and the factorization.
+impl LmlScratch {
+    fn new(n: usize, n_pairs: usize) -> Self {
+        LmlScratch {
+            k: Matrix::zeros(n, n),
+            r2: vec![0.0; n_pairs],
+            linv: Matrix::zeros(n, n),
+            w: Matrix::zeros(n, n),
+            v: vec![0.0; n_pairs],
+        }
+    }
+}
+
+/// Below this many kernel-matrix entries, per-evaluation work stays on the
+/// calling thread: a spawn costs more than the work it would split.
+const PAR_MIN_ENTRIES: usize = 4096;
+
+/// Lower clamp on the log noise variance (the floor applies after it).
+const LOG_NOISE_MIN: f64 = -27.0;
+/// Upper clamp on the log noise variance.
+const LOG_NOISE_MAX: f64 = 3.0;
+
+/// The training objective: the negative log marginal likelihood of the
+/// standardized targets as a function of the log-space hyperparameters
+/// `p = [ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`.
+struct LmlObjective<'a> {
+    tensor: &'a PairTensor,
+    ys: &'a [f64],
+    kind: KernelKind,
+    opt_noise: bool,
+    floor: f64,
+    workers: usize,
+}
+
+/// The kernel and noise variance a log-space hyperparameter vector
+/// `[ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]` encodes. The kernel clamps every
+/// log-parameter to `±LOG_PARAM_CLAMP`; the noise (last entry, present when
+/// `opt_noise`) is clamped to `[e^LOG_NOISE_MIN, e^LOG_NOISE_MAX]` and then
+/// floored, and is the floor itself otherwise. Shared by both tiers'
+/// training objectives and their final fits.
+pub(crate) fn unpack_log_params(
+    kind: KernelKind,
+    p: &[f64],
+    opt_noise: bool,
+    floor: f64,
+) -> (Kernel, f64) {
+    if opt_noise {
+        let (kp, np_) = p.split_at(p.len() - 1);
+        (
+            Kernel::from_log_params(kind, kp),
+            np_[0].clamp(LOG_NOISE_MIN, LOG_NOISE_MAX).exp().max(floor),
+        )
+    } else {
+        (Kernel::from_log_params(kind, p), floor)
+    }
+}
+
+impl LmlObjective<'_> {
+    /// Negative LML at `p`, with its gradient written into `grad`; `+∞`
+    /// when the kernel matrix cannot be factorized.
+    ///
+    /// With `α = K⁻¹y` and `W = K⁻¹ − ααᵀ`, each component is
+    /// `∂(−LML)/∂θ = ½ tr(W ∂K/∂θ)`, summed over the lower triangle
+    /// (`W` and `∂K` are symmetric):
+    /// * `ln σ²`: `∂K/∂θ` is the noise-free kernel matrix;
+    /// * `ln ℓ_k`: `∂K_ij/∂θ = −2 w_k σ² g′(r²_ij) D_k,ij` with
+    ///   `w_k = 1/ℓ_k²`, `g′ = dg/d(r²)` and `D_k` the pair tensor's slice
+    ///   for dimension `k`, so the component is one dot product of the
+    ///   packed `W ⊙ g′` with `D_k`;
+    /// * `ln σ_n²`: `∂K/∂θ = σ_n² I`.
+    ///
+    /// A parameter past its clamp leaves the likelihood flat, so its
+    /// component is zero. Every sum runs in a fixed order and dimensions
+    /// are the unit of parallel work, so the gradient is bit-identical at
+    /// any worker count.
+    fn neg_lml_grad(&self, p: &[f64], scratch: &mut LmlScratch, grad: &mut [f64]) -> f64 {
+        let (kernel, noise) = unpack_log_params(self.kind, p, self.opt_noise, self.floor);
+        let n = self.tensor.n;
+        let workers = if n * n < PAR_MIN_ENTRIES {
+            1
+        } else {
+            self.workers.max(1).min(n)
+        };
+        fill_kernel(self.tensor, &kernel, noise, scratch, workers);
+        let Ok(chol) = Cholesky::new_jittered_with(&scratch.k, workers) else {
+            return f64::INFINITY;
+        };
+        let alpha = chol.solve_vec(self.ys);
+        let data_fit: f64 = self.ys.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
+        let neg_lml = 0.5 * data_fit
+            + 0.5 * chol.log_det()
+            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
+
+        inverse_lower(chol.l(), &mut scratch.linv, &mut scratch.w, workers);
+        let w = &mut scratch.w;
+        for (i, &ai) in alpha.iter().enumerate() {
+            for (wij, &aj) in w.row_mut(i)[..=i].iter_mut().zip(&alpha) {
+                *wij -= ai * aj;
+            }
+        }
+        // One pass over the pairs (row order, matching the tensor): the
+        // variance term Σ W_ij K_ij and the packed W_ij · g′(r²_ij).
+        let mut tr_w = 0.0;
+        let mut w_dot_k = 0.0;
+        let mut pair = 0;
+        for i in 0..n {
+            let w_row = &w.row(i)[..=i];
+            let k_row = &scratch.k.row(i)[..i];
+            tr_w += w_row[i];
+            for (j, (&wij, &kij)) in w_row[..i].iter().zip(k_row).enumerate() {
+                w_dot_k += wij * kij;
+                scratch.v[pair + j] = wij * kernel.profile_slope(scratch.r2[pair + j]);
+            }
+            pair += i;
+        }
+
+        let sigma2 = kernel.variance();
+        let active = |v: f64| v.abs() <= LOG_PARAM_CLAMP;
+        grad[0] = if active(p[0]) {
+            0.5 * sigma2 * tr_w + w_dot_k
+        } else {
+            0.0
+        };
+        let inv_sq = kernel.inv_sq_lengthscales();
+        let v = &scratch.v;
+        let tensor = self.tensor;
+        let dots = par::map_indexed(workers, inv_sq.len(), |k| {
+            if active(p[1 + k]) {
+                -2.0 * inv_sq[k] * sigma2 * dot_fixed_order(v, tensor.dim(k))
+            } else {
+                0.0
+            }
+        });
+        grad[1..1 + dots.len()].copy_from_slice(&dots);
+        if self.opt_noise {
+            let pn = p[p.len() - 1];
+            let free = (LOG_NOISE_MIN..=LOG_NOISE_MAX).contains(&pn) && pn.exp() > self.floor;
+            grad[p.len() - 1] = if free { 0.5 * noise * tr_w } else { 0.0 };
+        }
+        neg_lml
+    }
+}
+
+/// Rebuild the kernel matrix `K + noise·I` into `scratch.k` from the cached
+/// distance tensor — one weighted reduction plus one profile pass instead
+/// of O(n²d) fresh distance computations — using up to `workers` threads.
 ///
-/// Only the lower triangle and diagonal are written: both Cholesky
-/// kernels read nothing above the diagonal, so mirroring would be pure
-/// overhead. Row `i`'s pairs are contiguous in the packed `r²` vector
+/// Only the lower triangle and diagonal are written: the Cholesky kernels
+/// and the gradient read nothing above the diagonal, so mirroring would be
+/// pure overhead. Row `i`'s pairs are contiguous in the packed `r²` vector
 /// (base `i(i−1)/2`), so rows partition cleanly across workers and every
 /// entry is one independent profile evaluation — any row partition is
 /// bit-identical.
-fn lml_cached(
+fn fill_kernel(
     tensor: &PairTensor,
-    ys: &[f64],
     kernel: &Kernel,
     noise: f64,
     scratch: &mut LmlScratch,
     workers: usize,
-) -> Option<f64> {
+) {
     let n = tensor.n;
     tensor.weighted_r2_with(&kernel.inv_sq_lengthscales(), &mut scratch.r2, workers);
-    let k = &mut scratch.k;
     let diag = kernel.diag_value() + noise;
     let r2 = &scratch.r2;
     let fill_rows = |krows: &mut [f64], lo: usize, hi: usize| {
@@ -702,32 +876,141 @@ fn lml_cached(
             row[i] = diag;
         }
     };
-    let w = if n * n < 4096 {
-        1
-    } else {
-        workers.max(1).min(n)
-    };
-    if w <= 1 {
-        fill_rows(k.as_mut_slice(), 0, n);
-    } else {
-        // Row i costs i + 1 evaluations, so triangular ranges balance
-        // the profile work; chunks are whole rows, hence disjoint.
-        let mut rest: &mut [f64] = k.as_mut_slice();
-        std::thread::scope(|scope| {
-            for r in par::triangular_ranges(n, w) {
-                let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * n);
-                rest = tail;
-                let fill_rows = &fill_rows;
-                scope.spawn(move || fill_rows(chunk, r.start, r.end));
-            }
-        });
+    // Row i costs i + 1 evaluations, so triangular ranges balance the
+    // profile work; chunks are whole rows, hence disjoint.
+    for_each_row_block(
+        &mut scratch.k,
+        par::triangular_ranges(n, workers),
+        |chunk, r| fill_rows(chunk, r.start, r.end),
+    );
+}
+
+/// Run `body(rows, range)` over disjoint blocks of whole rows of `m`, one
+/// block per range (`ranges` must tile `0..m.rows()` in order), on scoped
+/// threads when there is more than one block.
+fn for_each_row_block<F>(m: &mut Matrix, ranges: Vec<std::ops::Range<usize>>, body: F)
+where
+    F: Fn(&mut [f64], std::ops::Range<usize>) + Sync,
+{
+    let cols = m.cols();
+    if ranges.len() <= 1 {
+        let rows = m.rows();
+        body(m.as_mut_slice(), 0..rows);
+        return;
     }
-    let chol = Cholesky::new_jittered_with(k, workers).ok()?;
-    let alpha = chol.solve_vec(ys);
-    let data_fit: f64 = ys.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
-    Some(
-        -0.5 * data_fit - 0.5 * chol.log_det() - 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln(),
-    )
+    let mut rest: &mut [f64] = m.as_mut_slice();
+    std::thread::scope(|scope| {
+        for r in ranges {
+            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * cols);
+            rest = tail;
+            let body = &body;
+            scope.spawn(move || body(chunk, r));
+        }
+    });
+}
+
+/// Lower triangle of `A⁻¹ = L⁻ᵀL⁻¹` from the Cholesky factor `L`, written
+/// into `inv`; `linv` receives `L⁻¹`. Neither output is touched above the
+/// diagonal.
+///
+/// `L⁻¹` is built row by row (`row_i = (e_i − Σ_{k<i} L_ik row_k) / L_ii`,
+/// contiguous axpys, `n³/6` flops) and `A⁻¹` as the sum of the rank-one
+/// updates `row_kᵀ row_k` restricted to the lower triangle (another
+/// `n³/6`). The second sweep applies four `k`s per pass over an output row
+/// to cut its memory traffic, but every entry still takes its updates one
+/// at a time in ascending `k`, so the grouping changes no bits; it splits
+/// across workers by output rows, which makes the result bit-identical at
+/// any worker count.
+fn inverse_lower(l: &Matrix, linv: &mut Matrix, inv: &mut Matrix, workers: usize) {
+    let n = l.rows();
+    let data = linv.as_mut_slice();
+    for i in 0..n {
+        let (done, rest) = data.split_at_mut(i * n);
+        let row = &mut rest[..=i];
+        row.fill(0.0);
+        row[i] = 1.0;
+        for (k, &lik) in l.row(i)[..i].iter().enumerate() {
+            for (a, &m) in row[..=k].iter_mut().zip(&done[k * n..=k * n + k]) {
+                *a -= lik * m;
+            }
+        }
+        let lii = l[(i, i)];
+        for a in row.iter_mut() {
+            *a /= lii;
+        }
+    }
+    let linv = &*linv;
+    // Lower part of row `i` within the block of rows starting at `start`.
+    fn row_of(rows: &mut [f64], start: usize, n: usize, i: usize) -> &mut [f64] {
+        let off = (i - start) * n;
+        &mut rows[off..=off + i]
+    }
+    for_each_row_block(inv, par::chunk_ranges(n, workers), |rows, r| {
+        for i in r.clone() {
+            row_of(rows, r.start, n, i).fill(0.0);
+        }
+        let mut k0 = r.start;
+        while k0 < n {
+            let k1 = (k0 + 4).min(n);
+            // Rows i ≤ k0 take all four k of a full group in one pass;
+            // the rest (a short last group, rows inside the group) take
+            // their k ≥ i one at a time.
+            let mut single = r.start;
+            if k1 - k0 == 4 {
+                single = r.end.min(k0 + 1);
+                let m = [k0, k0 + 1, k0 + 2, k0 + 3].map(|k| linv.row(k));
+                for i in r.start..single {
+                    let c = m.map(|mk| mk[i]);
+                    let cols = row_of(rows, r.start, n, i)
+                        .iter_mut()
+                        .zip(&m[0][..=i])
+                        .zip(&m[1][..=i])
+                        .zip(&m[2][..=i])
+                        .zip(&m[3][..=i]);
+                    for ((((x, &m0), &m1), &m2), &m3) in cols {
+                        let mut v = *x;
+                        v += c[0] * m0;
+                        v += c[1] * m1;
+                        v += c[2] * m2;
+                        v += c[3] * m3;
+                        *x = v;
+                    }
+                }
+            }
+            for i in single..r.end.min(k1) {
+                let a = row_of(rows, r.start, n, i);
+                for k in i.max(k0)..k1 {
+                    let m_k = &linv.row(k)[..=i];
+                    let mki = m_k[i];
+                    for (x, &mkj) in a.iter_mut().zip(m_k) {
+                        *x += mki * mkj;
+                    }
+                }
+            }
+            k0 = k1;
+        }
+    });
+}
+
+/// `Σ a_i b_i` with four interleaved partial sums combined at the end: a
+/// fixed association independent of any thread split, and four
+/// independent dependency chains instead of one.
+fn dot_fixed_order(a: &[f64], b: &[f64]) -> f64 {
+    let mut acc = [0.0; 4];
+    let mut ca = a.chunks_exact(4);
+    let mut cb = b.chunks_exact(4);
+    for (x, y) in ca.by_ref().zip(cb.by_ref()) {
+        for lane in 0..4 {
+            acc[lane] += x[lane] * y[lane];
+        }
+    }
+    let tail: f64 = ca
+        .remainder()
+        .iter()
+        .zip(cb.remainder())
+        .map(|(x, y)| x * y)
+        .sum();
+    (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
 
 #[cfg(test)]
@@ -1019,6 +1302,124 @@ mod tests {
         // Constant targets: undefined.
         let gc = Gp::fit(&x, &[1.0; 20], Kernel::new(KernelKind::Matern32, 1), 1e-6).unwrap();
         assert!(gc.loo_r2().is_none());
+    }
+
+    /// Noise floor of the gradient tests: high enough that every kernel
+    /// matrix they factorize is well conditioned, so central differences
+    /// are accurate.
+    const FD_FLOOR: f64 = 1e-2;
+
+    /// Negative LML and its analytic gradient at `p` for a random 3-dim
+    /// data set.
+    fn value_grad(kind: KernelKind, opt_noise: bool, p: &[f64]) -> (f64, Vec<f64>) {
+        let mut rng = StdRng::seed_from_u64(11);
+        let x: Vec<Vec<f64>> = (0..70)
+            .map(|_| (0..3).map(|_| rng.random::<f64>()).collect())
+            .collect();
+        let y: Vec<f64> = x
+            .iter()
+            .map(|v| (4.0 * v[0]).sin() + v[1] * v[2] + 0.05 * rng.random::<f64>())
+            .collect();
+        let (mean, std) = standardization(&y);
+        let ys: Vec<f64> = y.iter().map(|&v| (v - mean) / std).collect();
+        let tensor = PairTensor::new(&x);
+        let objective = LmlObjective {
+            tensor: &tensor,
+            ys: &ys,
+            kind,
+            opt_noise,
+            floor: FD_FLOOR,
+            workers: 1,
+        };
+        let mut scratch = LmlScratch::new(x.len(), tensor.n_pairs());
+        let mut grad = vec![f64::NAN; p.len()];
+        let f = objective.neg_lml_grad(p, &mut scratch, &mut grad);
+        (f, grad)
+    }
+
+    #[test]
+    fn lml_gradient_matches_central_differences() {
+        // Points: a generic interior one; one with the variance and a
+        // length-scale past the ±8 clamp and the noise past its e³ clamp;
+        // and one whose noise sits below the floor. Components past a
+        // clamp or the floor must be exactly 0.
+        let interior = [0.3, -0.9, -0.2, 0.6, -4.0];
+        let clamped = [-8.5, -0.9, 9.0, 0.6, 3.5];
+        let floored = [0.3, -0.9, -0.2, 0.6, -6.0];
+        for kind in [
+            KernelKind::SquaredExp,
+            KernelKind::Matern32,
+            KernelKind::Matern52,
+        ] {
+            for opt_noise in [true, false] {
+                for point in [&interior[..], &clamped[..], &floored[..]] {
+                    let p = if opt_noise { point } else { &point[..4] };
+                    let (f, grad) = value_grad(kind, opt_noise, p);
+                    assert!(f.is_finite());
+                    for (c, &g) in grad.iter().enumerate() {
+                        let h = 1e-5;
+                        let mut up = p.to_vec();
+                        let mut dn = p.to_vec();
+                        up[c] += h;
+                        dn[c] -= h;
+                        let fd = (value_grad(kind, opt_noise, &up).0
+                            - value_grad(kind, opt_noise, &dn).0)
+                            / (2.0 * h);
+                        let past_clamp = if opt_noise && c == p.len() - 1 {
+                            !(LOG_NOISE_MIN..=LOG_NOISE_MAX).contains(&p[c])
+                                || p[c].exp() <= FD_FLOOR
+                        } else {
+                            p[c].abs() > 8.0
+                        };
+                        if past_clamp {
+                            assert_eq!(g, 0.0, "{kind:?} noise={opt_noise} component {c}");
+                        }
+                        assert!(
+                            (g - fd).abs() <= 1e-5 * (1.0 + fd.abs()),
+                            "{kind:?} noise={opt_noise} p={p:?} component {c}: \
+                             analytic {g} vs central difference {fd}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn inverse_lower_matches_cholesky_inverse() {
+        let mut rng = StdRng::seed_from_u64(2);
+        let n = 9;
+        let b = Matrix::from_fn(n, n, |_, _| rng.random::<f64>() - 0.5);
+        let mut a = b.mat_mul(&b.transpose()).unwrap();
+        a.add_diag(0.5);
+        let chol = Cholesky::new(&a).unwrap();
+        let full = chol.inverse();
+        let (mut linv, mut inv) = (Matrix::zeros(n, n), Matrix::zeros(n, n));
+        inverse_lower(chol.l(), &mut linv, &mut inv, 1);
+        for i in 0..n {
+            for j in 0..=i {
+                assert!((inv[(i, j)] - full[(i, j)]).abs() < 1e-10, "({i},{j})");
+            }
+        }
+    }
+
+    #[test]
+    fn train_stats_count_every_restart() {
+        let x = grid_1d(15);
+        let y: Vec<f64> = x.iter().map(|v| (5.0 * v[0]).sin()).collect();
+        let cfg = GpConfig::default();
+        let gp = Gp::train(&x, &y, &cfg).unwrap();
+        let stats = gp.train_stats();
+        assert_eq!(stats.evals.len(), cfg.n_restarts);
+        assert!(stats.winner < cfg.n_restarts);
+        assert!(stats
+            .evals
+            .iter()
+            .all(|&e| (1..=cfg.lbfgs.max_evals).contains(&e)));
+        assert_eq!(stats.total_evals(), stats.evals.iter().sum::<usize>());
+        // A fixed-hyperparameter fit did no training work.
+        let fitted = Gp::fit(&x, &y, Kernel::new(KernelKind::Matern52, 1), 1e-6).unwrap();
+        assert_eq!(fitted.train_stats(), &TrainStats::default());
     }
 
     #[test]

@@ -3,6 +3,11 @@
 use cets_linalg::vecops;
 use serde::{Deserialize, Serialize};
 
+/// Bound on every log-space kernel hyperparameter: [`Kernel::from_log_params`]
+/// clamps to `[−LOG_PARAM_CLAMP, LOG_PARAM_CLAMP]`, so past it the likelihood
+/// is flat in that coordinate and its gradient component is zero.
+pub(crate) const LOG_PARAM_CLAMP: f64 = 8.0;
+
 /// Which covariance family a [`Kernel`] uses.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum KernelKind {
@@ -21,7 +26,7 @@ pub enum KernelKind {
 /// Hyperparameters are the signal variance `σ²` and one length-scale per
 /// input dimension. [`Kernel::to_log_params`] / [`Kernel::from_log_params`]
 /// round-trip them through the unconstrained log-space vector that the
-/// Nelder–Mead optimizer works on.
+/// hyperparameter optimizer works on.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Kernel {
     kind: KernelKind,
@@ -123,6 +128,23 @@ impl Kernel {
         }
     }
 
+    /// Slope `dg/d(r²)` of the unit-variance profile `g` at `r²` — the
+    /// factor the length-scale gradient of the log marginal likelihood
+    /// multiplies each pair's squared differences by.
+    pub(crate) fn profile_slope(&self, r2: f64) -> f64 {
+        match self.kind {
+            KernelKind::SquaredExp => -0.5 * (-0.5 * r2).exp(),
+            KernelKind::Matern32 => {
+                let s = 3.0_f64.sqrt() * r2.sqrt();
+                -1.5 * (-s).exp()
+            }
+            KernelKind::Matern52 => {
+                let s = 5.0_f64.sqrt() * r2.sqrt();
+                -(5.0 / 6.0) * (1.0 + s) * (-s).exp()
+            }
+        }
+    }
+
     /// Pack `[ln σ², ln ℓ_1, ..., ln ℓ_d]` for unconstrained optimization.
     pub fn to_log_params(&self) -> Vec<f64> {
         let mut v = Vec::with_capacity(1 + self.dim());
@@ -139,7 +161,7 @@ impl Kernel {
             params.len() >= 2,
             "need at least variance + one lengthscale"
         );
-        let clamp = |v: f64| v.clamp(-8.0, 8.0).exp();
+        let clamp = |v: f64| v.clamp(-LOG_PARAM_CLAMP, LOG_PARAM_CLAMP).exp();
         Kernel {
             kind,
             variance: clamp(params[0]),

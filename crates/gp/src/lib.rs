@@ -10,13 +10,16 @@
 //!   paper's search-time analysis hinges on), predictive mean/variance, log
 //!   marginal likelihood;
 //! * [`GpConfig`] / [`Gp::train`] — maximum-likelihood hyperparameter
-//!   selection via multi-start Nelder–Mead in log-space;
+//!   selection via multi-start L-BFGS in log-space on the analytic
+//!   gradient of the log marginal likelihood, with the work it did
+//!   reported as [`TrainStats`];
 //! * [`SparseGp`] / [`Surrogate`] — the inducing-point (SGPR) tier and the
 //!   tier-selection layer over it: `O(N·m²)` training against the
 //!   variational ELBO, `O(m)`/`O(m²)` predictions, automatic escalation
 //!   past a configurable training-set size ([`TierPolicy`]);
-//! * [`nelder_mead`] — the derivative-free simplex optimizer, exposed for
-//!   reuse.
+//! * [`lbfgs`] / [`nelder_mead`] — the gradient-based and the
+//!   derivative-free minimizer (the latter drives the sparse tier's ELBO),
+//!   exposed for reuse.
 //!
 //! Targets are standardized internally (zero mean, unit variance) so kernel
 //! hyperparameter priors stay scale-free; predictions are returned in the
@@ -40,9 +43,9 @@ mod optimize;
 mod sparse;
 
 pub use cets_linalg::{ParConfig, Threads};
-pub use gp::{Gp, GpConfig, APPEND_CONDITION_LIMIT};
+pub use gp::{Gp, GpConfig, TrainStats, APPEND_CONDITION_LIMIT};
 pub use kernel::{Kernel, KernelKind};
-pub use optimize::{nelder_mead, NelderMeadOptions};
+pub use optimize::{lbfgs, nelder_mead, LbfgsOptions, LbfgsResult, NelderMeadOptions};
 pub use sparse::{select_inducing, SparseGp, SparseOptions, Surrogate, SurrogateTier, TierPolicy};
 
 /// Errors from GP fitting.

@@ -1,9 +1,9 @@
 //! Property-based tests for kernels, GP regression, the sparse (SGPR)
-//! tier and Nelder–Mead.
+//! tier and the two optimizers.
 
 use cets_gp::{
-    nelder_mead, Gp, GpConfig, Kernel, KernelKind, NelderMeadOptions, ParConfig, SparseGp,
-    Surrogate, SurrogateTier, TierPolicy,
+    lbfgs, nelder_mead, Gp, GpConfig, Kernel, KernelKind, LbfgsOptions, NelderMeadOptions,
+    ParConfig, SparseGp, Surrogate, SurrogateTier, TierPolicy,
 };
 use proptest::prelude::*;
 
@@ -258,6 +258,30 @@ proptest! {
     }
 
     #[test]
+    fn lbfgs_never_worse_than_start(
+        x0 in proptest::collection::vec(-5.0..5.0f64, 1..6),
+        c in proptest::collection::vec(-3.0..3.0f64, 6),
+    ) {
+        // A coupled convex quadratic: Σ (x_i − c_i)² + (Σ x_i)² / 4.
+        let f = |v: &[f64], g: &mut [f64]| -> f64 {
+            let sum: f64 = v.iter().sum();
+            let mut f = sum * sum / 4.0;
+            for (i, (&x, gi)) in v.iter().zip(g.iter_mut()).enumerate() {
+                f += (x - c[i]).powi(2);
+                *gi = 2.0 * (x - c[i]) + sum / 2.0;
+            }
+            f
+        };
+        let f0 = f(&x0, &mut vec![0.0; x0.len()]);
+        let r = lbfgs(f, &x0, &LbfgsOptions::default());
+        prop_assert!(r.f <= f0);
+        prop_assert!(r.evals <= LbfgsOptions::default().max_evals);
+        let mut g = vec![0.0; x0.len()];
+        prop_assert_eq!(f(&r.x, &mut g), r.f);
+        prop_assert!(g.iter().all(|v| v.abs() < 1e-4), "gradient {:?}", g);
+    }
+
+    #[test]
     fn nelder_mead_finds_shifted_quadratic(c in proptest::collection::vec(-3.0..3.0f64, 2)) {
         let cc = c.clone();
         let f = move |v: &[f64]| (v[0] - cc[0]).powi(2) + (v[1] - cc[1]).powi(2);
@@ -330,6 +354,44 @@ proptest! {
             prop_assert_eq!(sp.kernel().lengthscales(), base.kernel().lengthscales());
             prop_assert_eq!(sp.predict(&probe), base.predict(&probe));
             prop_assert_eq!(trace, base_trace.clone());
+        }
+    }
+}
+
+// The same contract with the per-evaluation parallel paths engaged: each
+// case is nine full trainings at n = 100, so two seeds are the budget.
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(2))]
+
+    #[test]
+    fn parallel_gp_train_is_bit_identical_past_parallel_thresholds(seed in 0u64..30) {
+        // n = 100 puts the kernel fill, the blocked Cholesky, the inverse
+        // and the gradient sums past their serial cutoffs, and one or two
+        // restarts leave 2–4 inner workers, so the parallel paths run and
+        // must reproduce the single-thread fit bit for bit, counters
+        // included.
+        use rand::{rngs::StdRng, RngExt, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(seed);
+        let x: Vec<Vec<f64>> = (0..100)
+            .map(|_| (0..3).map(|_| rng.random::<f64>()).collect())
+            .collect();
+        let y: Vec<f64> = x.iter().map(|v| (3.0 * v[0]).sin() + v[1] * v[2]).collect();
+        for n_restarts in [1usize, 2] {
+            let base_cfg = GpConfig {
+                seed,
+                n_restarts,
+                par: ParConfig::fixed(1),
+                ..Default::default()
+            };
+            let base = Gp::train(&x, &y, &base_cfg).unwrap();
+            for t in [2usize, 4] {
+                let cfg = GpConfig { par: ParConfig::fixed(t), ..base_cfg.clone() };
+                let gp = Gp::train(&x, &y, &cfg).unwrap();
+                prop_assert_eq!(gp.lml().to_bits(), base.lml().to_bits(), "t={}", t);
+                prop_assert_eq!(gp.noise().to_bits(), base.noise().to_bits());
+                prop_assert_eq!(gp.kernel(), base.kernel());
+                prop_assert_eq!(gp.train_stats(), base.train_stats());
+            }
         }
     }
 }
