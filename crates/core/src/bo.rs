@@ -11,9 +11,11 @@
 
 use crate::checkpoint::BoCheckpoint;
 use crate::normal;
-use crate::resilience::{splitmix64, EvalError, EvalOutcome, EvalRecord, FailedEval};
+use crate::objective::Observation;
+use crate::resilience::{splitmix64, EvalOutcome, EvalRecord};
 use crate::{CoreError, Result};
 use cets_gp::{GpConfig, Surrogate};
+use cets_linalg::par;
 use cets_space::{Config, SpaceError, Subspace};
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
@@ -118,15 +120,14 @@ pub struct BoConfig {
     pub seed: u64,
     /// Write a crash-recovery checkpoint after every evaluation.
     pub checkpoint_path: Option<PathBuf>,
-    /// Score the candidate pool across threads. The candidate pool is
-    /// pre-sampled single-threadedly and scored through the chunk-invariant
+    /// Worker threads scoring the candidate pool; `1` scores it
+    /// sequentially and `0` means use the process-wide resolution
+    /// (`--threads`, `CETS_THREADS`, then detected parallelism — see
+    /// [`cets_linalg::par::global_threads`]). The pool is pre-sampled
+    /// single-threadedly and scored through the chunk-invariant
     /// [`Surrogate::predict_batch`], so the proposal (and thus the whole
-    /// search trajectory) is **bit-identical** to the sequential path for
-    /// the same seed — this switch only changes wall-clock time.
-    pub parallel: bool,
-    /// Worker threads for parallel scoring; `0` means use the process-wide
-    /// resolution (`--threads`, `CETS_THREADS`, then detected
-    /// parallelism — see [`cets_linalg::par::global_threads`]).
+    /// search trajectory) is **bit-identical** at any worker count — this
+    /// only changes wall-clock time.
     pub n_workers: usize,
 }
 
@@ -142,7 +143,6 @@ impl Default for BoConfig {
             retrain_every: 5,
             seed: 0,
             checkpoint_path: None,
-            parallel: true,
             n_workers: 0,
         }
     }
@@ -223,19 +223,20 @@ impl BoSearch {
     }
 
     /// Minimize starting from pre-evaluated `(unit point, value)` pairs —
-    /// used by checkpoint resume and by transfer-learning seeding. Seeded
-    /// points count against the evaluation budget only if `counted` pairs
-    /// were actually evaluated on *this* task (resume); transfer seeds from
-    /// a *different* task should be passed through
+    /// used by transfer-learning seeding and by the executors' incumbent
+    /// seed. The pairs are the first attempts of the search and count
+    /// against its budget, so pass only points evaluated on *this* task;
+    /// transfer seeds from a *different* task should go through
     /// [`crate::transfer::TransferSeed`] instead, which re-evaluates them
-    /// here.
+    /// here. A non-finite seeded value is a failed attempt, exactly like a
+    /// non-finite value returned by `f`.
     pub fn run_with_history(
         &self,
         subspace: &Subspace,
         f: impl Fn(&Config) -> f64,
         history: Vec<(Vec<f64>, f64)>,
     ) -> Result<SearchOutcome> {
-        self.run_inner(subspace, f, history, None)
+        self.run_plain(subspace, f, history, None)
     }
 
     /// Minimize with a **prior mean function** over the active unit cube —
@@ -252,160 +253,42 @@ impl BoSearch {
         history: Vec<(Vec<f64>, f64)>,
         prior: PriorMean<'_>,
     ) -> Result<SearchOutcome> {
-        self.run_inner(subspace, f, history, Some(prior))
+        self.run_plain(subspace, f, history, Some(prior))
     }
 
-    fn run_inner(
+    /// The plain entry points are the record-based loop with an infallible
+    /// objective: every value of `f` and every seeded pair becomes an
+    /// [`EvalRecord`] (a non-finite one a failed record), and failures are
+    /// handled by [`FailurePolicy::default`].
+    fn run_plain(
         &self,
         subspace: &Subspace,
         f: impl Fn(&Config) -> f64,
-        mut history: Vec<(Vec<f64>, f64)>,
+        history: Vec<(Vec<f64>, f64)>,
         prior: Option<PriorMean<'_>>,
     ) -> Result<SearchOutcome> {
-        let cfg = &self.config;
-        if cfg.max_evals == 0 {
-            return Err(CoreError::BadConfig("max_evals must be > 0".into()));
-        }
-        let start = Instant::now();
-        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(history.len() as u64));
-        // Contraction-aware sampling slabs: the statically proved feasible
-        // slab union of each active dimension (a single full `(0, 1)` slab
-        // when nothing narrows, which maps draws bit-identically to the
-        // plain cube; disjoint slabs when branch-and-prune recovered them).
-        let uslabs = crate::contraction::active_unit_slabs(subspace);
-
-        let evaluate = |u: &[f64], history: &mut Vec<(Vec<f64>, f64)>| -> Result<f64> {
-            let cfg_full = subspace.lift(u)?;
-            let y = f(&cfg_full);
-            history.push((u.to_vec(), y));
-            if let Some(path) = &self.config.checkpoint_path {
-                BoCheckpoint::from_history(self.config.seed, history)
-                    .with_tier(self.config.gp.tier.tag())
-                    .save(path)?;
-            }
-            Ok(y)
-        };
-
-        // Initial design (top up to n_init points): Latin hypercube over
-        // the active unit cube, with per-point uniform-rejection fallback
-        // when a stratified point violates constraints.
-        let needed = cfg.n_init.saturating_sub(history.len());
-        if needed > 0 {
-            let d = subspace.dim();
-            let mut perms: Vec<Vec<usize>> = Vec::with_capacity(d);
-            for _ in 0..d {
-                let mut p: Vec<usize> = (0..needed).collect();
-                for k in (1..p.len()).rev() {
-                    p.swap(k, rng.random_range(0..=k));
-                }
-                perms.push(p);
-            }
-            #[allow(clippy::needless_range_loop)] // i indexes permutation columns
-            for i in 0..needed {
-                if history.len() >= cfg.max_evals {
-                    break;
-                }
-                let u: Vec<f64> = (0..d)
-                    .map(|j| {
-                        let r = (perms[j][i] as f64 + rng.random::<f64>()) / needed as f64;
-                        cets_space::map_slabs(&uslabs[j], r)
-                    })
-                    .collect();
-                let u = if subspace.is_valid_active(&u) {
-                    u
-                } else {
-                    self.sample_valid_unit(subspace, &uslabs, &mut rng)?
-                };
-                evaluate(&u, &mut history)?;
-            }
-        }
-
-        // BO loop. Between full hyperparameter retrainings the cached
-        // surrogate absorbs new observations via its incremental update
-        // (O(n²) bordered Cholesky on the exact tier, O(m²) rank-one on the
-        // sparse tier); every `retrain_every` evaluations the
-        // hyperparameters are re-optimized from scratch. The tier itself is
-        // re-selected at each retraining from [`GpConfig::tier`], so a
-        // search that outgrows the exact tier's O(N³) wall escalates to the
-        // sparse tier automatically.
-        let mut cache: Option<Surrogate> = None;
-        while history.len() < cfg.max_evals {
-            let best = history
-                .iter()
-                .map(|(_, y)| *y)
-                .fold(f64::INFINITY, f64::min);
-
-            let can_append = cache
-                .as_ref()
-                .is_some_and(|g| g.n_train() + 1 == history.len());
-            // With a prior mean, the GP models the residual y − prior(u).
-            let target = |u: &[f64], y: f64| -> f64 {
-                match prior {
-                    Some(m0) => y - m0(u),
-                    None => y,
-                }
-            };
-            let retrain = history.len().is_multiple_of(cfg.retrain_every.max(1)) || !can_append;
-            let model: &Surrogate = if retrain {
-                let xs: Vec<Vec<f64>> = history.iter().map(|(u, _)| u.clone()).collect();
-                let ys: Vec<f64> = history.iter().map(|(u, y)| target(u, *y)).collect();
-                let mut gp_cfg = cfg.gp.clone();
-                gp_cfg.seed = cfg.seed.wrapping_add(history.len() as u64);
-                cache.insert(Surrogate::train(&xs, &ys, &gp_cfg)?)
-            } else {
-                // Incremental path: the cache holds all but the newest
-                // observation; append it, falling back to a full refit if
-                // the incremental update loses definiteness. `can_append`
-                // guarantees both the cache and a last observation exist.
-                let (Some(cache), Some((u_last, y_last))) =
-                    (cache.as_mut(), history.last().cloned())
-                else {
-                    return Err(CoreError::SearchStalled(
-                        "incremental GP update without a cached model".into(),
-                    ));
-                };
-                let r_last = target(&u_last, y_last);
-                if cache.append(u_last, r_last).is_err() {
-                    let xs: Vec<Vec<f64>> = history.iter().map(|(u, _)| u.clone()).collect();
-                    let ys: Vec<f64> = history.iter().map(|(u, y)| target(u, *y)).collect();
-                    *cache = cache.refit(&xs, &ys)?;
-                }
-                cache
-            };
-
-            let u_next = self.propose_impl(subspace, &uslabs, model, best, prior, &mut rng)?;
-            evaluate(&u_next, &mut history)?;
-        }
-
-        SearchOutcome::from_history(subspace, history, start.elapsed())
+        let records = history
+            .into_iter()
+            .map(|(u, y)| EvalRecord::from_outcome(u, EvalOutcome::Ok(Observation::scalar(y))))
+            .collect();
+        let f = |c: &Config, _| EvalOutcome::Ok(Observation::scalar(f(c)));
+        let policy = FailurePolicy::default();
+        self.run_loop(subspace, f, &policy, records, prior, &mut |_| Ok(()))
+            .map(|r| r.outcome)
     }
 
-    /// Resume from a crash-recovery checkpoint.
+    /// Resume a plain search from a crash-recovery checkpoint: the plain
+    /// adapter over [`BoSearch::resume_resilient`], with the same seed and
+    /// tier checks.
     pub fn resume(
         &self,
         subspace: &Subspace,
         f: impl Fn(&Config) -> f64,
         checkpoint: &BoCheckpoint,
     ) -> Result<SearchOutcome> {
-        self.check_tier(checkpoint)?;
-        self.run_with_history(subspace, f, checkpoint.history())
-    }
-
-    /// Reject a checkpoint recorded under a different surrogate
-    /// tier policy: the resumed search re-derives every per-iteration tier
-    /// decision from [`GpConfig::tier`] and the record count, so a
-    /// mismatched policy would silently diverge from the interrupted
-    /// trajectory instead of continuing it. Checkpoints from before the
-    /// tier layer carry no tag and resume unchecked.
-    fn check_tier(&self, checkpoint: &BoCheckpoint) -> Result<()> {
-        let ours = self.config.gp.tier.tag();
-        match &checkpoint.tier {
-            Some(tag) if *tag != ours => Err(CoreError::Checkpoint(format!(
-                "checkpoint tier policy `{tag}` does not match search tier policy `{ours}` — \
-                 resuming would diverge from the interrupted trajectory"
-            ))),
-            _ => Ok(()),
-        }
+        let f = |c: &Config, _| EvalOutcome::Ok(Observation::scalar(f(c)));
+        self.resume_resilient(subspace, f, &FailurePolicy::default(), checkpoint)
+            .map(|r| r.outcome)
     }
 
     fn sample_valid_unit(
@@ -505,11 +388,7 @@ impl BoSearch {
                 continue;
             }
             let (m, v) = model.predict_batch(std::slice::from_ref(&u_try))[0];
-            let m = match prior {
-                Some(m0) => m + m0(&u_try),
-                None => m,
-            };
-            let s = cfg.acquisition.score(m, v, best);
+            let s = cfg.acquisition.score(with_prior(prior, &u_try, m), v, best);
             if s > s_best {
                 s_best = s;
                 u_best = u_try;
@@ -520,12 +399,11 @@ impl BoSearch {
 
     /// Acquisition scores for a candidate pool, in pool order.
     ///
-    /// With [`BoConfig::parallel`] the pool is split into contiguous chunks
-    /// scored by scoped worker threads writing disjoint slices of the
-    /// output; because [`Surrogate::predict_batch`] is chunk-invariant (on
-    /// both tiers) and the acquisition is a pure per-candidate function,
-    /// the resulting scores are bit-identical to the sequential path
-    /// regardless of worker count.
+    /// The pool is split into [`BoConfig::n_workers`] contiguous chunks
+    /// scored on the shared fork-join layer; because
+    /// [`Surrogate::predict_batch`] is chunk-invariant (on both tiers) and
+    /// the acquisition is a pure per-candidate function, the scores are
+    /// bit-identical at any worker count.
     fn score_pool(
         &self,
         model: &Surrogate,
@@ -534,45 +412,33 @@ impl BoSearch {
         prior: Option<PriorMean<'_>>,
     ) -> Vec<f64> {
         let cfg = &self.config;
-        let score_chunk = |chunk: &[Vec<f64>], out: &mut [f64]| {
+        let workers = match cfg.n_workers {
+            0 => par::global_threads(),
+            n => n,
+        };
+        let ranges = par::chunk_ranges(pool.len(), workers);
+        let chunks = par::map_indexed(workers, ranges.len(), |c| {
+            let chunk = &pool[ranges[c].clone()];
             let preds = model.predict_batch(chunk);
-            for ((s, (m, v)), u) in out.iter_mut().zip(preds).zip(chunk) {
-                let m = match prior {
-                    Some(m0) => m + m0(u),
-                    None => m,
-                };
-                *s = cfg.acquisition.score(m, v, best);
-            }
-        };
-
-        let mut scores = vec![0.0; pool.len()];
-        let workers = self.worker_count(pool.len());
-        if workers <= 1 {
-            score_chunk(pool, &mut scores);
-        } else {
-            let chunk = pool.len().div_ceil(workers);
-            std::thread::scope(|scope| {
-                for (cpool, cout) in pool.chunks(chunk).zip(scores.chunks_mut(chunk)) {
-                    let f = &score_chunk;
-                    scope.spawn(move || f(cpool, cout));
-                }
-            });
-        }
-        scores
+            preds
+                .into_iter()
+                .zip(chunk)
+                .map(|((m, v), u)| cfg.acquisition.score(with_prior(prior, u, m), v, best))
+                .collect::<Vec<f64>>()
+        });
+        chunks.concat()
     }
+}
 
-    /// Number of scoring workers for a pool of `n_items` candidates.
-    fn worker_count(&self, n_items: usize) -> usize {
-        if !self.config.parallel || n_items < 2 {
-            return 1;
-        }
-        let requested = if self.config.n_workers == 0 {
-            cets_linalg::par::global_threads()
-        } else {
-            self.config.n_workers
-        };
-        requested.clamp(1, n_items)
-    }
+/// A posterior mean `m` of the residual model, with the prior mean added
+/// back.
+fn with_prior(prior: Option<PriorMean<'_>>, u: &[f64], m: f64) -> f64 {
+    prior.map_or(m, |m0| m + m0(u))
+}
+
+/// The residual `y − m0(u)` the surrogate is trained on under a prior mean.
+fn residual(prior: Option<PriorMean<'_>>, u: &[f64], y: f64) -> f64 {
+    prior.map_or(y, |m0| y - m0(u))
 }
 
 // ---------------------------------------------------------------------------
@@ -726,17 +592,17 @@ pub struct ResilientOutcome {
     pub budget_spent: f64,
 }
 
-/// Salt for the resilient LHS design RNG stream (distinct from the
+/// Salt for the LHS design RNG stream (distinct from the
 /// per-iteration proposal streams).
 const LHS_SALT: u64 = 0x4c48_535f_4445_5347;
 
-/// Cached surrogate state of the failure-aware loop.
+/// Cached surrogate state of the BO loop.
 ///
-/// The invariant maintained by [`BoSearch::update_resilient_model`]: after
+/// The invariant maintained by [`BoSearch::update_model`]: after
 /// processing a record prefix of length `n_records`, this state is a
 /// **pure function of that prefix** — so an interrupted search can rebuild
 /// it exactly by replaying from the last retrain boundary.
-struct ResilientModel {
+struct CachedModel {
     surrogate: Surrogate,
     /// The imputed value baked into the training set, when any failure
     /// point is present under [`Imputation::WorstPlusMargin`]; `None` when
@@ -754,7 +620,8 @@ impl BoSearch {
     /// failed attempts are recorded and handled per `policy`, and **no
     /// non-finite value ever reaches the GP**.
     ///
-    /// Like [`BoSearch::run`], the surrogate is cached between
+    /// This is the one BO loop: [`BoSearch::run`] and the other plain
+    /// entry points are adapters over it. The surrogate is cached between
     /// hyperparameter retrainings: every [`BoConfig::retrain_every`]
     /// attempts it is retrained from the policy's training data, and in
     /// between, new records are absorbed through the incremental append
@@ -762,18 +629,21 @@ impl BoSearch {
     /// while the imputed training value is unchanged, so an observation
     /// that moves the observed worst/best (and with it every
     /// previously-imputed training point) triggers a full retraining
-    /// instead ([`FailurePolicy::imputed_value`]).
+    /// instead ([`FailurePolicy::imputed_value`]). Each retraining
+    /// re-selects the surrogate tier from [`GpConfig::tier`], so a search
+    /// that outgrows the exact tier's O(N³) wall escalates to the sparse
+    /// tier automatically.
     ///
-    /// The trajectory is still a *pure function of the accumulated
-    /// records*: the initial design is derived from the seed alone, each
-    /// iteration reseeds its RNG from `seed + attempts-so-far`, and the
+    /// The trajectory is a *pure function of the accumulated records*: the
+    /// initial design is derived from the seed alone, each iteration
+    /// reseeds its RNG from `seed + attempts-so-far`, and the
     /// cached surrogate after `ℓ` recorded attempts is itself a pure
     /// function of the record prefix (retrain boundaries rebuild it from
     /// scratch, so a resumed search replays only the short
     /// boundary-to-crash segment to reconstruct the identical cache). A
     /// search interrupted at *any* attempt therefore resumes
-    /// **bit-for-bit** via [`BoSearch::resume_resilient`] — a stronger
-    /// contract than the plain path.
+    /// **bit-for-bit** via [`BoSearch::resume_resilient`] (or
+    /// [`BoSearch::resume`] on the plain path).
     ///
     /// The callback's second argument is the attempt ordinal (for keying
     /// retry backoff jitter).
@@ -787,6 +657,14 @@ impl BoSearch {
     }
 
     /// Resume a failure-aware search from a crash-recovery checkpoint.
+    ///
+    /// A checkpoint recorded under a different seed or surrogate tier
+    /// policy is rejected: the resumed search re-derives every design
+    /// point, RNG stream and per-iteration tier decision from the seed,
+    /// [`GpConfig::tier`] and the record count, so a mismatch would
+    /// silently diverge from the interrupted trajectory instead of
+    /// continuing it. Checkpoints from before the tier layer carry no tag
+    /// and skip the tier check.
     pub fn resume_resilient(
         &self,
         subspace: &Subspace,
@@ -801,16 +679,22 @@ impl BoSearch {
                 checkpoint.seed, self.config.seed
             )));
         }
-        self.check_tier(checkpoint)?;
+        let ours = self.config.gp.tier.tag();
+        if let Some(tag) = checkpoint.tier.as_ref().filter(|t| **t != ours) {
+            return Err(CoreError::Checkpoint(format!(
+                "checkpoint tier policy `{tag}` does not match search tier policy `{ours}` — \
+                 resuming would diverge from the interrupted trajectory"
+            )));
+        }
         self.run_resilient_with_records(subspace, f, policy, checkpoint.records())
     }
 
     /// Rebuild the [`SearchOutcome`] implied by a record prefix without
     /// re-running anything.
     ///
-    /// The resilient loop's trajectory is a pure function of its record
-    /// history, so the best configuration, best value, and incumbent trace
-    /// are all recomputable from the records alone. Recovery layers (the
+    /// The BO loop's trajectory is a pure function of its record history,
+    /// so the best configuration, best value, and incumbent trace are all
+    /// recomputable from the records alone. Recovery layers (the
     /// `cets serve` WAL replay) use this to reconstruct a finished search's
     /// result from its log instead of re-evaluating anything; `wall_time`
     /// is zero because no work is performed.
@@ -856,7 +740,22 @@ impl BoSearch {
         subspace: &Subspace,
         f: impl Fn(&Config, usize) -> EvalOutcome,
         policy: &FailurePolicy,
+        records: Vec<EvalRecord>,
+        on_record: &mut dyn FnMut(&EvalRecord) -> Result<()>,
+    ) -> Result<ResilientOutcome> {
+        self.run_loop(subspace, f, policy, records, None, on_record)
+    }
+
+    /// The BO loop behind every entry point: evaluate, record, update the
+    /// cached surrogate, propose. Under a `prior` mean the surrogate models
+    /// the residual `y − prior(u)` and proposals add the prior back.
+    fn run_loop(
+        &self,
+        subspace: &Subspace,
+        f: impl Fn(&Config, usize) -> EvalOutcome,
+        policy: &FailurePolicy,
         mut records: Vec<EvalRecord>,
+        prior: Option<PriorMean<'_>>,
         on_record: &mut dyn FnMut(&EvalRecord) -> Result<()>,
     ) -> Result<ResilientOutcome> {
         let cfg = &self.config;
@@ -869,27 +768,17 @@ impl BoSearch {
             ));
         }
         let start = Instant::now();
+        // Contraction-aware sampling slabs: the statically proved feasible
+        // slab union of each active dimension (a single full `(0, 1)` slab
+        // when nothing narrows, which maps draws bit-identically to the
+        // plain cube; disjoint slabs when branch-and-prune recovered them).
         let uslabs = crate::contraction::active_unit_slabs(subspace);
 
         let mut evaluate =
             |u: &[f64], records: &mut Vec<EvalRecord>| -> Result<()> {
                 let cfg_full = subspace.lift(u)?;
-                let rec = match f(&cfg_full, records.len()) {
-                    // Defense in depth: even if the callback skipped screening,
-                    // a non-finite total is recorded as a failure, never as an
-                    // observation.
-                    EvalOutcome::Ok(obs) if !obs.total.is_finite() => EvalRecord::failed(
-                        u.to_vec(),
-                        FailedEval::from_error(&EvalError::NonFinite {
-                            what: "total".into(),
-                        }),
-                    ),
-                    EvalOutcome::Ok(obs) => EvalRecord::ok(u.to_vec(), obs.total),
-                    EvalOutcome::Failed(e) => {
-                        EvalRecord::failed(u.to_vec(), FailedEval::from_error(&e))
-                    }
-                };
-                records.push(rec);
+                let outcome = f(&cfg_full, records.len());
+                records.push(EvalRecord::from_outcome(u.to_vec(), outcome));
                 if let Some(path) = &cfg.checkpoint_path {
                     BoCheckpoint::from_records(cfg.seed, records)
                         .with_tier(cfg.gp.tier.tag())
@@ -913,31 +802,31 @@ impl BoSearch {
         // Fixed initial design, a pure function of (seed, n_init): attempt
         // k < n_init evaluates design point k, whether in the original run
         // or a resumed one.
-        let design = self.resilient_design(subspace, &uslabs)?;
+        let design = self.initial_design(subspace, &uslabs)?;
         while records.len() < design.len() && within_budget(&records) {
             let u = design[records.len()].clone();
             evaluate(&u, &mut records)?;
         }
 
-        // Failure-aware BO loop. The cached surrogate after ℓ recorded
-        // attempts is a pure function of records[..ℓ] (see
-        // `update_resilient_model`), so a resumed run first replays the
-        // cache transitions from the last retrain boundary — boundaries
-        // rebuild the model from scratch regardless of the incoming state,
-        // which keeps the replay under `retrain_every` steps and makes its
-        // result identical to the uninterrupted run's cache.
-        let mut model: Option<ResilientModel> = None;
+        // BO loop. The cached surrogate after ℓ recorded attempts is a pure
+        // function of records[..ℓ] (see `update_model`), so a resumed run
+        // first replays the cache transitions from the last retrain
+        // boundary — boundaries rebuild the model from scratch regardless of
+        // the incoming state, which keeps the replay under `retrain_every`
+        // steps and makes its result identical to the uninterrupted run's
+        // cache.
+        let mut model: Option<CachedModel> = None;
         if records.len() > design.len() && within_budget(&records) {
             let re = cfg.retrain_every.max(1);
             let prev = records.len() - 1;
             let from = ((prev / re) * re).max(design.len());
             for len in from..=prev {
-                self.update_resilient_model(&mut model, &records[..len], policy)?;
+                self.update_model(&mut model, &records[..len], policy, prior)?;
             }
         }
         while records.len() >= design.len() && within_budget(&records) {
             let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(records.len() as u64));
-            self.update_resilient_model(&mut model, &records, policy)?;
+            self.update_model(&mut model, &records, policy, prior)?;
             let u_next = match &model {
                 // No successful observation yet: keep exploring at random
                 // until one lands (bounded by budget and max_failures).
@@ -949,7 +838,7 @@ impl BoSearch {
                         .iter()
                         .filter_map(EvalRecord::y)
                         .fold(f64::INFINITY, f64::min);
-                    self.propose_impl(subspace, &uslabs, &m.surrogate, best, None, &mut rng)?
+                    self.propose_impl(subspace, &uslabs, &m.surrogate, best, prior, &mut rng)?
                 }
             };
             evaluate(&u_next, &mut records)?;
@@ -976,7 +865,7 @@ impl BoSearch {
         })
     }
 
-    /// Advance the failure-aware loop's cached surrogate to reflect
+    /// Advance the loop's cached surrogate to reflect
     /// `records` (one new record per call in the steady state). The
     /// post-state is a **pure function of the record prefix**:
     ///
@@ -992,12 +881,15 @@ impl BoSearch {
     ///   ([`FailurePolicy::imputed_value`]), every previously-imputed
     ///   training point is stale and the model is rebuilt instead.
     ///
-    /// The model is `None` while no finite successful observation exists.
-    fn update_resilient_model(
+    /// Under a `prior` mean every training value, imputed ones included,
+    /// enters as the residual `y − prior(u)`. The model is `None` while no
+    /// finite successful observation exists.
+    fn update_model(
         &self,
-        model: &mut Option<ResilientModel>,
+        model: &mut Option<CachedModel>,
         records: &[EvalRecord],
         policy: &FailurePolicy,
+        prior: Option<PriorMean<'_>>,
     ) -> Result<()> {
         let cfg = &self.config;
         let finite_ok = |r: &EvalRecord| -> Option<f64> {
@@ -1029,12 +921,19 @@ impl BoSearch {
                 m.n_records + 1 == records.len()
                     && (m.imputed.is_none() || m.imputed == imputed_now)
             });
+        let training_data = || {
+            let (xs, mut ys) = policy.training_data(records);
+            for (y, u) in ys.iter_mut().zip(&xs) {
+                *y = residual(prior, u, *y);
+            }
+            (xs, ys)
+        };
         if !can_append {
-            let (xs, ys) = policy.training_data(records);
+            let (xs, ys) = training_data();
             let mut gp_cfg = cfg.gp.clone();
             gp_cfg.seed = cfg.seed.wrapping_add(records.len() as u64);
             let surrogate = Surrogate::train(&xs, &ys, &gp_cfg)?;
-            *model = Some(ResilientModel {
+            *model = Some(CachedModel {
                 surrogate,
                 imputed: imputed_now,
                 n_records: records.len(),
@@ -1059,11 +958,12 @@ impl BoSearch {
             (None, false) => None,
         };
         if let Some((u, y)) = append {
-            if m.surrogate.append(u, y).is_err() {
+            let r = residual(prior, &u, y);
+            if m.surrogate.append(u, r).is_err() {
                 // The incremental update lost definiteness: refit the same
                 // hyperparameters on the full training set (deterministic,
-                // no optimizer) — the analogue of `run_inner`'s fallback.
-                let (xs, ys) = policy.training_data(records);
+                // no optimizer).
+                let (xs, ys) = training_data();
                 m.surrogate = m.surrogate.refit(&xs, &ys)?;
             }
         }
@@ -1072,10 +972,9 @@ impl BoSearch {
         Ok(())
     }
 
-    /// The resilient path's Latin-hypercube initial design, derived from
-    /// the seed alone (with per-point constraint-rejection fallback) so
+    /// The Latin-hypercube initial design, derived from the seed alone (with per-point constraint-rejection fallback) so
     /// interrupted and uninterrupted runs compute the same points.
-    fn resilient_design(
+    fn initial_design(
         &self,
         subspace: &Subspace,
         uslabs: &[Vec<(f64, f64)>],
@@ -1248,16 +1147,15 @@ mod tests {
     #[test]
     fn parallel_scoring_is_bit_identical_to_sequential() {
         // The CI-enforced determinism contract: a full BO run with the
-        // chunked thread-scope scorer produces the exact same history —
-        // every configuration and every observation, bit for bit — as the
+        // chunked fork-join scorer produces the exact same history — every
+        // configuration and every observation, bit for bit — as the
         // sequential path. The pool is pre-sampled before scoring and the
         // argmax reduction runs in fixed order, so worker count must not
         // leak into the arithmetic.
         let obj = SplitSphere::new();
         let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
-        let run = |parallel: bool, n_workers: usize| {
+        let run = |n_workers: usize| {
             let cfg = BoConfig {
-                parallel,
                 n_workers,
                 ..quick_config(25, 42)
             };
@@ -1265,9 +1163,9 @@ mod tests {
                 .run(&sub, |c| obj.evaluate(c).total)
                 .unwrap()
         };
-        let sequential = run(false, 0);
+        let sequential = run(1);
         for workers in [0, 2, 3, 5] {
-            let par = run(true, workers);
+            let par = run(workers);
             assert_eq!(
                 sequential.history, par.history,
                 "history diverged with n_workers={workers}"
@@ -1495,7 +1393,9 @@ mod tests {
         // always-retrain loop bit for bit. The reference below replicates
         // that loop verbatim: fresh `Gp::train` on the policy's training
         // data every iteration, no cache, same per-iteration RNG streams.
-        use crate::resilience::{EvalOutcome, FaultKind, FaultPlan, FaultyObjective, VirtualClock};
+        use crate::resilience::{
+            EvalOutcome, FailedEval, FaultKind, FaultPlan, FaultyObjective, VirtualClock,
+        };
         use crate::Objective as _;
         use cets_gp::Gp;
         use std::sync::Arc;
@@ -1526,7 +1426,7 @@ mod tests {
         let uslabs = crate::contraction::active_unit_slabs(&sub);
         let clock2 = Arc::new(VirtualClock::new());
         let faulty2 = FaultyObjective::new(&obj, plan, clock2);
-        let design = search.resilient_design(&sub, &uslabs).unwrap();
+        let design = search.initial_design(&sub, &uslabs).unwrap();
         let mut records: Vec<EvalRecord> = Vec::new();
         let evaluate = |u: &[f64], records: &mut Vec<EvalRecord>| {
             let cfg_full = sub.lift(u).unwrap();
@@ -1669,5 +1569,159 @@ mod tests {
             .run_with_history(&sub, |c| obj.evaluate(c).total, seeds)
             .unwrap();
         assert_eq!(out.n_evals, 15);
+    }
+    #[test]
+    fn plain_run_is_the_record_loop_with_infallible_outcomes() {
+        use crate::resilience::EvalOutcome;
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let search = BoSearch::new(quick_config(20, 23));
+        let plain = search.run(&sub, |c| obj.evaluate(c).total).unwrap();
+        let looped = search
+            .run_resilient_with_records(
+                &sub,
+                |c, _| EvalOutcome::Ok(obj.evaluate(c)),
+                &FailurePolicy::default(),
+                Vec::new(),
+            )
+            .unwrap();
+        assert_eq!(plain.history, looped.outcome.history);
+        assert_eq!(plain.incumbent_trace, looped.outcome.incumbent_trace);
+        assert_eq!(plain.best_config, looped.outcome.best_config);
+    }
+
+    #[test]
+    fn plain_resume_at_every_attempt_is_bit_for_bit() {
+        // A run "crashed" after k evaluations (its budget ends there; the
+        // trajectory does not depend on the budget) leaves a checkpoint of
+        // its first k records; resuming it to the full budget must
+        // reproduce the uninterrupted run exactly, for every k.
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let f = |c: &Config| obj.evaluate(c).total;
+        let n = 16;
+        let full = BoSearch::new(quick_config(n, 29)).run(&sub, f).unwrap();
+        let path =
+            std::env::temp_dir().join(format!("cets_plain_resume_{}.json", std::process::id()));
+        for k in 1..=n {
+            let mut cfg = quick_config(k, 29);
+            cfg.checkpoint_path = Some(path.clone());
+            BoSearch::new(cfg).run(&sub, f).unwrap();
+            let cp = BoCheckpoint::load(&path).unwrap();
+            assert_eq!(cp.n_evals(), k);
+            let resumed = BoSearch::new(quick_config(n, 29))
+                .resume(&sub, f, &cp)
+                .unwrap();
+            assert_eq!(resumed.history, full.history, "resume after {k} diverged");
+            assert_eq!(resumed.best_value, full.best_value);
+        }
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn plain_run_records_nan_as_failure() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let calls = AtomicUsize::new(0);
+        let out = BoSearch::new(quick_config(20, 11))
+            .run(&sub, |c| {
+                if calls.fetch_add(1, Ordering::Relaxed) % 4 == 3 {
+                    f64::NAN
+                } else {
+                    obj.evaluate(c).total
+                }
+            })
+            .unwrap();
+        // 20 attempts, every 4th failed: 15 observations, all finite.
+        assert_eq!(calls.load(Ordering::Relaxed), 20);
+        assert_eq!(out.n_evals, 15);
+        assert!(out.history.iter().all(|(_, y)| y.is_finite()));
+        assert!(out.best_value.is_finite());
+    }
+
+    #[test]
+    fn nan_seed_is_a_failed_attempt() {
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let out = BoSearch::new(quick_config(10, 4))
+            .run_with_history(
+                &sub,
+                |c| obj.evaluate(c).total,
+                vec![(vec![0.5; 3], f64::NAN)],
+            )
+            .unwrap();
+        assert_eq!(out.n_evals, 9, "the NaN seed spends one attempt");
+        assert!(out.history.iter().all(|(u, _)| u != &vec![0.5; 3]));
+    }
+
+    #[test]
+    fn zero_prior_is_bit_identical_to_no_prior() {
+        let obj = SplitSphere::new();
+        let sub = Subspace::full(obj.space(), obj.default_config()).unwrap();
+        let f = |c: &Config| obj.evaluate(c).total;
+        let search = BoSearch::new(quick_config(20, 37));
+        let zero = |_: &[f64]| 0.0;
+        let plain = search.run(&sub, f).unwrap();
+        let prior = search.run_with_prior(&sub, f, Vec::new(), &zero).unwrap();
+        assert_eq!(plain.history, prior.history);
+    }
+
+    #[test]
+    fn prior_mean_enters_training_as_residuals_including_imputed() {
+        use crate::resilience::{FailedEval, FailureKind};
+        let fail = |u: Vec<f64>| {
+            EvalRecord::failed(
+                u,
+                FailedEval {
+                    kind: FailureKind::Crashed,
+                    message: String::new(),
+                },
+            )
+        };
+        let mut records = vec![
+            EvalRecord::ok(vec![0.1, 0.2, 0.3], 2.0),
+            fail(vec![0.5, 0.5, 0.5]),
+            EvalRecord::ok(vec![0.9, 0.1, 0.4], 5.0),
+            EvalRecord::ok(vec![0.3, 0.8, 0.6], 3.0),
+        ];
+        let prior = |u: &[f64]| 10.0 * u[0] - u[2];
+        let search = BoSearch::new(BoConfig {
+            retrain_every: 10,
+            ..quick_config(10, 3)
+        });
+        let policy = FailurePolicy::default();
+        let residuals = |records: &[EvalRecord]| {
+            let (xs, ys) = policy.training_data(records);
+            let rs: Vec<f64> = ys.iter().zip(&xs).map(|(y, u)| y - prior(u)).collect();
+            (xs, rs)
+        };
+        let probe = vec![vec![0.3, 0.3, 0.3], vec![0.7, 0.4, 0.2]];
+
+        // Retrain: the training set is the policy's data minus the prior.
+        let mut model = None;
+        search
+            .update_model(&mut model, &records, &policy, Some(&prior))
+            .unwrap();
+        let (xs, rs) = residuals(&records);
+        let mut gp_cfg = search.config.gp.clone();
+        gp_cfg.seed = 3 + records.len() as u64;
+        let mut expect = Surrogate::train(&xs, &rs, &gp_cfg).unwrap();
+        let got = &model.as_ref().unwrap().surrogate;
+        assert_eq!(got.predict_batch(&probe), expect.predict_batch(&probe));
+
+        // Append: a new failure enters at its imputed value minus the prior.
+        let u_new = vec![0.2, 0.9, 0.7];
+        records.push(fail(u_new.clone()));
+        search
+            .update_model(&mut model, &records, &policy, Some(&prior))
+            .unwrap();
+        let imputed = policy.imputed_value(&records).unwrap();
+        expect
+            .append(u_new.clone(), imputed - prior(&u_new))
+            .unwrap();
+        let got = &model.as_ref().unwrap().surrogate;
+        assert_eq!(got.n_train(), 5);
+        assert_eq!(got.predict_batch(&probe), expect.predict_batch(&probe));
     }
 }

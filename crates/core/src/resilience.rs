@@ -260,6 +260,22 @@ impl EvalRecord {
         EvalRecord { u, value: Err(e) }
     }
 
+    /// The record an attempt at `u` leaves. Defense in depth: a non-finite
+    /// total is recorded as a failure, never as an observation, even if
+    /// the evaluation skipped screening.
+    pub(crate) fn from_outcome(u: Vec<f64>, outcome: EvalOutcome) -> Self {
+        match outcome {
+            EvalOutcome::Ok(obs) if !obs.total.is_finite() => EvalRecord::failed(
+                u,
+                FailedEval::from_error(&EvalError::NonFinite {
+                    what: "total".into(),
+                }),
+            ),
+            EvalOutcome::Ok(obs) => EvalRecord::ok(u, obs.total),
+            EvalOutcome::Failed(e) => EvalRecord::failed(u, FailedEval::from_error(&e)),
+        }
+    }
+
     /// Did this attempt succeed?
     pub fn is_ok(&self) -> bool {
         self.value.is_ok()

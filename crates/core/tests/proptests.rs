@@ -319,9 +319,8 @@ proptest! {
             .unwrap(),
         );
 
-        let run = |parallel: bool, n_workers: usize| {
+        let run = |n_workers: usize| {
             let search = BoSearch::new(BoConfig {
-                parallel,
                 n_workers,
                 n_candidates,
                 n_local: 4,
@@ -330,8 +329,8 @@ proptest! {
             let mut prng = StdRng::seed_from_u64(seed.wrapping_mul(31).wrapping_add(7));
             search.propose(&sub, &gp, best, None, &mut prng).unwrap()
         };
-        let sequential = run(false, 0);
-        let parallel = run(true, workers);
+        let sequential = run(1);
+        let parallel = run(workers);
         prop_assert_eq!(sequential, parallel);
     }
 
@@ -529,7 +528,6 @@ proptest! {
                 retrain_every: 3,
                 seed,
                 gp,
-                parallel: threads > 1,
                 n_workers: threads,
                 ..Default::default()
             };
