@@ -598,6 +598,23 @@ fn speedups(baseline: &Value, current: &Value) -> Value {
     Value::Object(out)
 }
 
+/// The CPU model and the number of logical CPUs the host lists in
+/// `/proc/cpuinfo`; `("unknown", 0)` where that file does not exist.
+fn cpu_info() -> (String, usize) {
+    let info = std::fs::read_to_string("/proc/cpuinfo").unwrap_or_default();
+    let field = |line: &str, key: &str| {
+        line.split_once(':')
+            .filter(|(k, _)| k.trim() == key)
+            .map(|(_, v)| v.trim().to_string())
+    };
+    let model = info.lines().find_map(|l| field(l, "model name"));
+    let nproc = info
+        .lines()
+        .filter(|l| field(l, "processor").is_some())
+        .count();
+    (model.unwrap_or_else(|| "unknown".to_string()), nproc)
+}
+
 /// Check the invariants every consumer of `BENCH_bo.json` relies on.
 fn validate(doc: &Value) -> std::result::Result<(), String> {
     match doc.get_field("schema") {
@@ -669,8 +686,10 @@ fn run() -> BenchResult<()> {
     let existing: Option<Value> = std::fs::read_to_string(&out_path)
         .ok()
         .and_then(|s| serde_json::parse_value(&s).ok());
-    // Fail-soft hardware probe (records 1 when the platform can't say).
+    // Fail-soft hardware probes (1 / "unknown" / 0 when the platform
+    // can't say).
     let threads = cets_linalg::par::available_threads();
+    let (cpu_model, nproc) = cpu_info();
     let mut fields: Vec<(&str, Value)> = vec![
         ("schema", Value::String(SCHEMA.to_string())),
         ("mode", Value::String(mode.to_string())),
@@ -680,6 +699,8 @@ fn run() -> BenchResult<()> {
             Value::String("cargo run --release -p cets-bench --bin perf_suite".to_string()),
         ),
         ("threads_available", Value::Int(threads as i64)),
+        ("cpu_model", Value::String(cpu_model)),
+        ("nproc", Value::Int(nproc as i64)),
     ];
     if args.record_baseline {
         fields.push(("baseline", results));

@@ -1455,11 +1455,13 @@ mod tests {
             // of its evaluations crashes. The r0 search trips the trap only
             // on its incumbent seed (all defaults).
             let obj = PanicOn::new(|a, b, _| a == 1.0 && b == 1.0);
-            for parallel in [false, true] {
+            // Runs the plan, checks what every seed must show, and returns
+            // the folded r0 = x0² + x1² (the default gives 2.0).
+            let run = |bo: &BoConfig, parallel: bool| {
                 let exec = execute_plan_resilient(
                     &obj,
                     &two_search_plan(),
-                    &quick_bo(),
+                    bo,
                     parallel,
                     &quick_resilience(),
                 )
@@ -1484,12 +1486,34 @@ mod tests {
                 assert_eq!(by_name("r1").n_ok, 0);
                 // The degraded search's parameter stays at its default.
                 assert_eq!(exec.final_config[2].as_f64(), 1.0);
-                // The completed search still improved r0 = x0² + x1².
-                let r0 =
-                    exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2);
-                assert!(r0 < 2.0, "r0 {r0} not improved over default 2.0");
+                // The completed search's best configuration is the one
+                // folded into the result.
                 assert_eq!(exec.searches.len(), 1);
+                let best = &exec.searches[0].1.best_config;
+                assert_eq!(exec.final_config[0], best[0]);
+                assert_eq!(exec.final_config[1], best[1]);
+                exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2)
+            };
+            for parallel in [false, true] {
+                assert!(run(&quick_bo(), parallel).is_finite());
             }
+            // Whether an 11-evaluation search beats the default depends on
+            // the seed, so improvement is checked over a fixed seed set:
+            // the folded r0 is no worse than the default on average, and
+            // most seeds improve on it.
+            let n_seeds = 40;
+            let (mut improved, mut sum_r0) = (0, 0.0);
+            for seed in 0..n_seeds {
+                let r0 = run(&BoConfig { seed, ..quick_bo() }, false);
+                improved += usize::from(r0 < 2.0);
+                sum_r0 += r0;
+            }
+            let mean = sum_r0 / n_seeds as f64;
+            assert!(mean <= 2.0, "mean r0 {mean} worse than the default 2.0");
+            assert!(
+                improved * 2 > n_seeds as usize,
+                "r0 improved on the default on only {improved} of {n_seeds} seeds"
+            );
         }
 
         /// The folded configuration moves both axes at once, which the

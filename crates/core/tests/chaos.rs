@@ -167,13 +167,6 @@ fn region_fault_degrades_only_the_searches_inside_it() {
     // The r1 search varies x2 with x0 = x1 pinned at the 1.0 incumbent
     // (unit 0.25): a region fault over that line crashes every r1
     // evaluation but only the all-defaults incumbent of r0.
-    let region = vec![(0.24, 0.26), (0.24, 0.26), (0.0, 1.0)];
-    let plan = FaultPlan {
-        region: Some((region, FaultKind::Panic)),
-        ..Default::default()
-    };
-    let clock = Arc::new(VirtualClock::new());
-    let faulty = FaultyObjective::new(&obj, plan, clock.clone());
     let search_plan = SearchPlan {
         stages: vec![vec![
             PlannedSearch {
@@ -192,26 +185,60 @@ fn region_fault_degrades_only_the_searches_inside_it() {
             },
         ]],
     };
-    let exec = execute_plan_resilient(
-        &faulty,
-        &search_plan,
-        &quick_bo(3),
-        false,
-        &chaos_resilience(clock),
-    )
-    .unwrap();
-    let entry = |n: &str| exec.ledger.entries.iter().find(|e| e.search == n).unwrap();
-    assert!(matches!(
-        entry("r0").disposition,
-        SearchDisposition::Completed
-    ));
-    assert!(matches!(
-        entry("r1").disposition,
-        SearchDisposition::Degraded(_)
-    ));
-    // The degraded parameter is untouched; the completed search tuned.
-    assert_eq!(exec.final_config[2].as_f64(), 1.0);
-    assert!(exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2) < 2.0);
+    // Runs the plan at `seed`, checks what every seed must show, and
+    // returns the folded r0 = x0² + x1² (the default gives 2.0).
+    let run = |seed: u64| {
+        let region = vec![(0.24, 0.26), (0.24, 0.26), (0.0, 1.0)];
+        let plan = FaultPlan {
+            region: Some((region, FaultKind::Panic)),
+            ..Default::default()
+        };
+        let clock = Arc::new(VirtualClock::new());
+        let faulty = FaultyObjective::new(&obj, plan, clock.clone());
+        let exec = execute_plan_resilient(
+            &faulty,
+            &search_plan,
+            &quick_bo(seed),
+            false,
+            &chaos_resilience(clock),
+        )
+        .unwrap();
+        let entry = |n: &str| exec.ledger.entries.iter().find(|e| e.search == n).unwrap();
+        assert!(matches!(
+            entry("r0").disposition,
+            SearchDisposition::Completed
+        ));
+        assert!(matches!(
+            entry("r1").disposition,
+            SearchDisposition::Degraded(_)
+        ));
+        // The degraded parameter is untouched; the completed search's best
+        // configuration is the one folded into the result.
+        assert_eq!(exec.final_config[2].as_f64(), 1.0);
+        assert_eq!(exec.searches.len(), 1);
+        let best = &exec.searches[0].1.best_config;
+        assert_eq!(exec.final_config[0], best[0]);
+        assert_eq!(exec.final_config[1], best[1]);
+        exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2)
+    };
+    assert!(run(3).is_finite());
+    // Whether an 11-evaluation search beats the default depends on the
+    // seed, so improvement is checked over a fixed seed set: the folded r0
+    // is no worse than the default on average, and most seeds improve on
+    // it.
+    let n_seeds = 40;
+    let (mut improved, mut sum_r0) = (0, 0.0);
+    for seed in 0..n_seeds {
+        let r0 = run(seed);
+        improved += usize::from(r0 < 2.0);
+        sum_r0 += r0;
+    }
+    let mean = sum_r0 / n_seeds as f64;
+    assert!(mean <= 2.0, "mean r0 {mean} worse than the default 2.0");
+    assert!(
+        improved * 2 > n_seeds as usize,
+        "r0 improved on the default on only {improved} of {n_seeds} seeds"
+    );
 }
 
 /// An injected stall trips the watchdog and is classified as a timeout —

@@ -1,7 +1,7 @@
 //! Exact Gaussian-process regression with maximum-likelihood training.
 
 use crate::kernel::{Kernel, KernelKind, LOG_PARAM_CLAMP};
-use crate::optimize::{lbfgs, LbfgsOptions};
+use crate::optimize::{lbfgs_split, LbfgsObjective, LbfgsOptions, LbfgsResult};
 use crate::{GpError, Result};
 use cets_linalg::{par, Cholesky, Matrix, ParConfig};
 use rand::rngs::StdRng;
@@ -152,8 +152,23 @@ impl Gp {
 
     /// Train with maximum-likelihood hyperparameters: multi-start L-BFGS
     /// over `[ln σ², ln ℓ₁.., ln ℓ_d, (ln σ_n²)]`, driven by the analytic
-    /// gradient of the log marginal likelihood.
+    /// gradient of the log marginal likelihood. Each line-search trial
+    /// pays for the likelihood value; only an accepted trial pays for the
+    /// gradient too.
     pub fn train(x: &[Vec<f64>], y: &[f64], cfg: &GpConfig) -> Result<Self> {
+        Self::train_with(x, y, cfg, |objective, p0| {
+            lbfgs_split(&mut LmlRestart::new(objective), p0, &cfg.lbfgs)
+        })
+    }
+
+    /// [`Gp::train`] with the per-restart optimizer passed in, so tests can
+    /// run the same restarts through a reference optimizer.
+    fn train_with(
+        x: &[Vec<f64>],
+        y: &[f64],
+        cfg: &GpConfig,
+        restart: impl Fn(&LmlObjective, &[f64]) -> LbfgsResult + Sync,
+    ) -> Result<Self> {
         let n = x.len();
         if n == 0 || y.len() != n {
             return Err(GpError::BadShape(format!(
@@ -194,7 +209,11 @@ impl Gp {
             kind: cfg.kernel,
             opt_noise,
             floor,
-            workers: iw,
+            workers: if n * n < PAR_MIN_ENTRIES {
+                1
+            } else {
+                iw.min(n)
+            },
         };
 
         // Start points are pre-drawn from the single RNG stream in restart
@@ -219,14 +238,7 @@ impl Gp {
             .collect();
         // One restart: L-BFGS from `p0` over the negative LML, with its own
         // factorization scratch so restarts can run concurrently.
-        let runs = par::map_indexed(ow, starts, |s| {
-            let mut scratch = LmlScratch::new(n, tensor.n_pairs());
-            lbfgs(
-                |p: &[f64], grad: &mut [f64]| objective.neg_lml_grad(p, &mut scratch, grad),
-                &p0s[s],
-                &cfg.lbfgs,
-            )
-        });
+        let runs = par::map_indexed(ow, starts, |s| restart(&objective, &p0s[s]));
         let mut stats = TrainStats {
             evals: runs.iter().map(|r| r.evals).collect(),
             winner: 0,
@@ -610,36 +622,23 @@ impl PairTensor {
         let d = x.first().map_or(0, |r| r.len());
         let np = n * (n - 1) / 2;
         let mut data = vec![0.0; d * np];
-        let block = np.max(1);
-        let fill_dim = |dk: &mut [f64], k: usize| {
-            let mut p = 0;
-            for i in 1..n {
-                let xik = x[i][k];
-                for xj in x.iter().take(i) {
-                    let dv = xik - xj[k];
-                    dk[p] = dv * dv;
-                    p += 1;
-                }
-            }
-        };
-        let w = workers.max(1).min(d.max(1));
-        if w <= 1 || np * d < 8192 {
-            for (k, dk) in data.chunks_exact_mut(block).enumerate() {
-                fill_dim(dk, k);
-            }
-        } else {
-            let per = d.div_ceil(w);
-            std::thread::scope(|scope| {
-                for (ci, chunk) in data.chunks_mut(block * per).enumerate() {
-                    let fill_dim = &fill_dim;
-                    scope.spawn(move || {
-                        for (kk, dk) in chunk.chunks_exact_mut(block).enumerate() {
-                            fill_dim(dk, ci * per + kk);
+        let dims = par::chunk_ranges(d, if np * d < 8192 { 1 } else { workers });
+        par::for_each_part(
+            par::split_blocks(&mut data, &dims, |k| k * np),
+            |(block, ks)| {
+                for (k, dk) in ks.zip(block.chunks_exact_mut(np.max(1))) {
+                    let mut p = 0;
+                    for i in 1..n {
+                        let xik = x[i][k];
+                        for xj in x.iter().take(i) {
+                            let dv = xik - xj[k];
+                            dk[p] = dv * dv;
+                            p += 1;
                         }
-                    });
+                    }
                 }
-            });
-        }
+            },
+        );
         PairTensor { data, n }
     }
 
@@ -664,54 +663,16 @@ impl PairTensor {
     /// ascending-`k`, so any chunking is bit-identical.
     pub(crate) fn weighted_r2_with(&self, w: &[f64], acc: &mut [f64], workers: usize) {
         let np = acc.len();
-        if np == 0 {
-            return;
-        }
-        let sweep = |chunk: &mut [f64], lo: usize| {
+        let chunks = par::chunk_ranges(np, if np < 8192 { 1 } else { workers });
+        par::for_each_part(par::split_blocks(acc, &chunks, |p| p), |(chunk, r)| {
             chunk.fill(0.0);
             for (k, &wk) in w.iter().enumerate() {
-                let dk = &self.data[k * np + lo..k * np + lo + chunk.len()];
+                let dk = &self.data[k * np + r.start..k * np + r.end];
                 for (a, &t) in chunk.iter_mut().zip(dk) {
                     *a += wk * t;
                 }
             }
-        };
-        let ww = if np < 8192 { 1 } else { workers.max(1) };
-        if ww <= 1 {
-            sweep(acc, 0);
-            return;
-        }
-        let per = np.div_ceil(ww);
-        std::thread::scope(|scope| {
-            for (ci, chunk) in acc.chunks_mut(per).enumerate() {
-                let sweep = &sweep;
-                scope.spawn(move || sweep(chunk, ci * per));
-            }
         });
-    }
-}
-
-/// Reusable buffers for [`LmlObjective::neg_lml_grad`]: the kernel
-/// matrix, the packed pairwise `r²` vector, `L⁻¹`, `W = K⁻¹ − ααᵀ` and the
-/// packed `W ⊙ g′` survive across likelihood evaluations, so the hot loop
-/// allocates nothing besides the Cholesky factor and `α`.
-struct LmlScratch {
-    k: Matrix,
-    r2: Vec<f64>,
-    linv: Matrix,
-    w: Matrix,
-    v: Vec<f64>,
-}
-
-impl LmlScratch {
-    fn new(n: usize, n_pairs: usize) -> Self {
-        LmlScratch {
-            k: Matrix::zeros(n, n),
-            r2: vec![0.0; n_pairs],
-            linv: Matrix::zeros(n, n),
-            w: Matrix::zeros(n, n),
-            v: vec![0.0; n_pairs],
-        }
     }
 }
 
@@ -733,6 +694,7 @@ struct LmlObjective<'a> {
     kind: KernelKind,
     opt_noise: bool,
     floor: f64,
+    /// Workers inside one evaluation: 1 below [`PAR_MIN_ENTRIES`].
     workers: usize,
 }
 
@@ -759,9 +721,64 @@ pub(crate) fn unpack_log_params(
     }
 }
 
-impl LmlObjective<'_> {
-    /// Negative LML at `p`, with its gradient written into `grad`; `+∞`
-    /// when the kernel matrix cannot be factorized.
+/// One L-BFGS restart's evaluations of the shared [`LmlObjective`], with
+/// the restart's own buffers so restarts can run concurrently: the kernel
+/// matrix, the packed pairwise `r²` and profile slopes `g′(r²)`, `L⁻¹`,
+/// `W = K⁻¹ − ααᵀ` and the packed `W ⊙ g′` survive across evaluations, so
+/// the hot loop allocates nothing besides the Cholesky factor and `α` —
+/// which the value step leaves in `fit` for the gradient step.
+struct LmlRestart<'a> {
+    objective: &'a LmlObjective<'a>,
+    k: Matrix,
+    r2: Vec<f64>,
+    slope: Vec<f64>,
+    linv: Matrix,
+    w: Matrix,
+    v: Vec<f64>,
+    fit: Option<(Cholesky, Vec<f64>)>,
+}
+
+impl<'a> LmlRestart<'a> {
+    fn new(objective: &'a LmlObjective<'a>) -> Self {
+        let (n, n_pairs) = (objective.tensor.n, objective.tensor.n_pairs());
+        LmlRestart {
+            objective,
+            k: Matrix::zeros(n, n),
+            r2: vec![0.0; n_pairs],
+            slope: vec![0.0; n_pairs],
+            linv: Matrix::zeros(n, n),
+            w: Matrix::zeros(n, n),
+            v: vec![0.0; n_pairs],
+            fit: None,
+        }
+    }
+}
+
+impl LbfgsObjective for LmlRestart<'_> {
+    /// The value step: negative LML at `p`, `+∞` when the kernel matrix
+    /// cannot be factorized. Fills the kernel matrix and the packed profile
+    /// slopes, factors and solves, and keeps the factor and `α = K⁻¹y` for
+    /// the gradient step.
+    fn value(&mut self, p: &[f64]) -> f64 {
+        let o = self.objective;
+        let (kernel, noise) = unpack_log_params(o.kind, p, o.opt_noise, o.floor);
+        fill_kernel(self, &kernel, noise);
+        self.fit = None;
+        let Ok(chol) = Cholesky::new_jittered_with(&self.k, o.workers) else {
+            return f64::INFINITY;
+        };
+        let alpha = chol.solve_vec(o.ys);
+        let data_fit: f64 = o.ys.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
+        let neg_lml = 0.5 * data_fit
+            + 0.5 * chol.log_det()
+            + 0.5 * o.tensor.n as f64 * (2.0 * std::f64::consts::PI).ln();
+        self.fit = Some((chol, alpha));
+        neg_lml
+    }
+
+    /// The gradient step: the gradient of the negative LML at the `p` of
+    /// the preceding value step, written into `grad`, reusing that step's
+    /// factor (all NaN when it had none).
     ///
     /// With `α = K⁻¹y` and `W = K⁻¹ − ααᵀ`, each component is
     /// `∂(−LML)/∂θ = ½ tr(W ∂K/∂θ)`, summed over the lower triangle
@@ -777,28 +794,17 @@ impl LmlObjective<'_> {
     /// component is zero. Every sum runs in a fixed order and dimensions
     /// are the unit of parallel work, so the gradient is bit-identical at
     /// any worker count.
-    fn neg_lml_grad(&self, p: &[f64], scratch: &mut LmlScratch, grad: &mut [f64]) -> f64 {
-        let (kernel, noise) = unpack_log_params(self.kind, p, self.opt_noise, self.floor);
-        let n = self.tensor.n;
-        let workers = if n * n < PAR_MIN_ENTRIES {
-            1
-        } else {
-            self.workers.max(1).min(n)
+    fn gradient(&mut self, p: &[f64], grad: &mut [f64]) {
+        let Some((chol, alpha)) = self.fit.as_ref() else {
+            grad.fill(f64::NAN);
+            return;
         };
-        fill_kernel(self.tensor, &kernel, noise, scratch, workers);
-        let Ok(chol) = Cholesky::new_jittered_with(&scratch.k, workers) else {
-            return f64::INFINITY;
-        };
-        let alpha = chol.solve_vec(self.ys);
-        let data_fit: f64 = self.ys.iter().zip(&alpha).map(|(&a, &b)| a * b).sum();
-        let neg_lml = 0.5 * data_fit
-            + 0.5 * chol.log_det()
-            + 0.5 * n as f64 * (2.0 * std::f64::consts::PI).ln();
-
-        inverse_lower(chol.l(), &mut scratch.linv, &mut scratch.w, workers);
-        let w = &mut scratch.w;
+        let o = self.objective;
+        let (kernel, noise) = unpack_log_params(o.kind, p, o.opt_noise, o.floor);
+        inverse_lower(chol.l(), &mut self.linv, &mut self.w, o.workers);
+        let w = &mut self.w;
         for (i, &ai) in alpha.iter().enumerate() {
-            for (wij, &aj) in w.row_mut(i)[..=i].iter_mut().zip(&alpha) {
+            for (wij, &aj) in w.row_mut(i)[..=i].iter_mut().zip(alpha) {
                 *wij -= ai * aj;
             }
         }
@@ -807,13 +813,13 @@ impl LmlObjective<'_> {
         let mut tr_w = 0.0;
         let mut w_dot_k = 0.0;
         let mut pair = 0;
-        for i in 0..n {
+        for i in 0..o.tensor.n {
             let w_row = &w.row(i)[..=i];
-            let k_row = &scratch.k.row(i)[..i];
+            let k_row = &self.k.row(i)[..i];
             tr_w += w_row[i];
             for (j, (&wij, &kij)) in w_row[..i].iter().zip(k_row).enumerate() {
                 w_dot_k += wij * kij;
-                scratch.v[pair + j] = wij * kernel.profile_slope(scratch.r2[pair + j]);
+                self.v[pair + j] = wij * self.slope[pair + j];
             }
             pair += i;
         }
@@ -826,85 +832,60 @@ impl LmlObjective<'_> {
             0.0
         };
         let inv_sq = kernel.inv_sq_lengthscales();
-        let v = &scratch.v;
-        let tensor = self.tensor;
-        let dots = par::map_indexed(workers, inv_sq.len(), |k| {
+        let v = &self.v;
+        let dots = par::map_indexed(o.workers, inv_sq.len(), |k| {
             if active(p[1 + k]) {
-                -2.0 * inv_sq[k] * sigma2 * dot_fixed_order(v, tensor.dim(k))
+                -2.0 * inv_sq[k] * sigma2 * dot_fixed_order(v, o.tensor.dim(k))
             } else {
                 0.0
             }
         });
         grad[1..1 + dots.len()].copy_from_slice(&dots);
-        if self.opt_noise {
+        if o.opt_noise {
             let pn = p[p.len() - 1];
-            let free = (LOG_NOISE_MIN..=LOG_NOISE_MAX).contains(&pn) && pn.exp() > self.floor;
+            let free = (LOG_NOISE_MIN..=LOG_NOISE_MAX).contains(&pn) && pn.exp() > o.floor;
             grad[p.len() - 1] = if free { 0.5 * noise * tr_w } else { 0.0 };
         }
-        neg_lml
     }
 }
 
-/// Rebuild the kernel matrix `K + noise·I` into `scratch.k` from the cached
-/// distance tensor — one weighted reduction plus one profile pass instead
-/// of O(n²d) fresh distance computations — using up to `workers` threads.
+/// Rebuild the kernel matrix `K + noise·I` into `restart.k`, and the
+/// packed profile slopes `g′(r²)` the gradient step needs into
+/// `restart.slope`, from the cached distance tensor — one weighted
+/// reduction plus one fused profile-and-slope pass instead of O(n²d) fresh
+/// distance computations — using the objective's workers.
 ///
 /// Only the lower triangle and diagonal are written: the Cholesky kernels
 /// and the gradient read nothing above the diagonal, so mirroring would be
-/// pure overhead. Row `i`'s pairs are contiguous in the packed `r²` vector
+/// pure overhead. Row `i`'s pairs are contiguous in the packed vectors
 /// (base `i(i−1)/2`), so rows partition cleanly across workers and every
 /// entry is one independent profile evaluation — any row partition is
 /// bit-identical.
-fn fill_kernel(
-    tensor: &PairTensor,
-    kernel: &Kernel,
-    noise: f64,
-    scratch: &mut LmlScratch,
-    workers: usize,
-) {
+fn fill_kernel(restart: &mut LmlRestart, kernel: &Kernel, noise: f64) {
+    let (tensor, workers) = (restart.objective.tensor, restart.objective.workers);
     let n = tensor.n;
-    tensor.weighted_r2_with(&kernel.inv_sq_lengthscales(), &mut scratch.r2, workers);
-    let diag = kernel.diag_value() + noise;
-    let r2 = &scratch.r2;
-    let fill_rows = |krows: &mut [f64], lo: usize, hi: usize| {
-        for i in lo..hi {
-            let base = i * i.saturating_sub(1) / 2;
-            let row = &mut krows[(i - lo) * n..(i - lo) * n + i + 1];
-            for (rj, &t) in row[..i].iter_mut().zip(&r2[base..base + i]) {
-                *rj = kernel.eval_r2(t);
+    tensor.weighted_r2_with(&kernel.inv_sq_lengthscales(), &mut restart.r2, workers);
+    let (variance, diag) = (kernel.variance(), kernel.diag_value() + noise);
+    let r2 = &restart.r2;
+    let packed = |i: usize| i * i.saturating_sub(1) / 2;
+    // Row i costs i + 1 evaluations, so triangular ranges balance the
+    // profile work; blocks are whole rows, hence disjoint.
+    let rows = par::triangular_ranges(n, workers);
+    let k_blocks = par::split_blocks(restart.k.as_mut_slice(), &rows, |i| i * n);
+    let blocks = k_blocks
+        .into_iter()
+        .zip(par::split_blocks(&mut restart.slope, &rows, packed));
+    par::for_each_part(blocks.collect(), |((krows, r), (slopes, _))| {
+        let base = packed(r.start);
+        for (row, i) in krows.chunks_exact_mut(n).zip(r) {
+            let (lo, hi) = (packed(i), packed(i + 1));
+            let slopes = &mut slopes[lo - base..hi - base];
+            for ((kij, sij), &t) in row[..i].iter_mut().zip(slopes).zip(&r2[lo..hi]) {
+                let (g, dg) = kernel.profile_and_slope(t);
+                *kij = variance * g;
+                *sij = dg;
             }
             row[i] = diag;
-        }
-    };
-    // Row i costs i + 1 evaluations, so triangular ranges balance the
-    // profile work; chunks are whole rows, hence disjoint.
-    for_each_row_block(
-        &mut scratch.k,
-        par::triangular_ranges(n, workers),
-        |chunk, r| fill_rows(chunk, r.start, r.end),
-    );
-}
-
-/// Run `body(rows, range)` over disjoint blocks of whole rows of `m`, one
-/// block per range (`ranges` must tile `0..m.rows()` in order), on scoped
-/// threads when there is more than one block.
-fn for_each_row_block<F>(m: &mut Matrix, ranges: Vec<std::ops::Range<usize>>, body: F)
-where
-    F: Fn(&mut [f64], std::ops::Range<usize>) + Sync,
-{
-    let cols = m.cols();
-    if ranges.len() <= 1 {
-        let rows = m.rows();
-        body(m.as_mut_slice(), 0..rows);
-        return;
-    }
-    let mut rest: &mut [f64] = m.as_mut_slice();
-    std::thread::scope(|scope| {
-        for r in ranges {
-            let (chunk, tail) = std::mem::take(&mut rest).split_at_mut(r.len() * cols);
-            rest = tail;
-            let body = &body;
-            scope.spawn(move || body(chunk, r));
         }
     });
 }
@@ -945,51 +926,55 @@ fn inverse_lower(l: &Matrix, linv: &mut Matrix, inv: &mut Matrix, workers: usize
         let off = (i - start) * n;
         &mut rows[off..=off + i]
     }
-    for_each_row_block(inv, par::chunk_ranges(n, workers), |rows, r| {
-        for i in r.clone() {
-            row_of(rows, r.start, n, i).fill(0.0);
-        }
-        let mut k0 = r.start;
-        while k0 < n {
-            let k1 = (k0 + 4).min(n);
-            // Rows i ≤ k0 take all four k of a full group in one pass;
-            // the rest (a short last group, rows inside the group) take
-            // their k ≥ i one at a time.
-            let mut single = r.start;
-            if k1 - k0 == 4 {
-                single = r.end.min(k0 + 1);
-                let m = [k0, k0 + 1, k0 + 2, k0 + 3].map(|k| linv.row(k));
-                for i in r.start..single {
-                    let c = m.map(|mk| mk[i]);
-                    let cols = row_of(rows, r.start, n, i)
-                        .iter_mut()
-                        .zip(&m[0][..=i])
-                        .zip(&m[1][..=i])
-                        .zip(&m[2][..=i])
-                        .zip(&m[3][..=i]);
-                    for ((((x, &m0), &m1), &m2), &m3) in cols {
-                        let mut v = *x;
-                        v += c[0] * m0;
-                        v += c[1] * m1;
-                        v += c[2] * m2;
-                        v += c[3] * m3;
-                        *x = v;
+    let rows = par::chunk_ranges(n, workers);
+    par::for_each_part(
+        par::split_blocks(inv.as_mut_slice(), &rows, |i| i * n),
+        |(rows, r)| {
+            for i in r.clone() {
+                row_of(rows, r.start, n, i).fill(0.0);
+            }
+            let mut k0 = r.start;
+            while k0 < n {
+                let k1 = (k0 + 4).min(n);
+                // Rows i ≤ k0 take all four k of a full group in one pass;
+                // the rest (a short last group, rows inside the group) take
+                // their k ≥ i one at a time.
+                let mut single = r.start;
+                if k1 - k0 == 4 {
+                    single = r.end.min(k0 + 1);
+                    let m = [k0, k0 + 1, k0 + 2, k0 + 3].map(|k| linv.row(k));
+                    for i in r.start..single {
+                        let c = m.map(|mk| mk[i]);
+                        let cols = row_of(rows, r.start, n, i)
+                            .iter_mut()
+                            .zip(&m[0][..=i])
+                            .zip(&m[1][..=i])
+                            .zip(&m[2][..=i])
+                            .zip(&m[3][..=i]);
+                        for ((((x, &m0), &m1), &m2), &m3) in cols {
+                            let mut v = *x;
+                            v += c[0] * m0;
+                            v += c[1] * m1;
+                            v += c[2] * m2;
+                            v += c[3] * m3;
+                            *x = v;
+                        }
                     }
                 }
-            }
-            for i in single..r.end.min(k1) {
-                let a = row_of(rows, r.start, n, i);
-                for k in i.max(k0)..k1 {
-                    let m_k = &linv.row(k)[..=i];
-                    let mki = m_k[i];
-                    for (x, &mkj) in a.iter_mut().zip(m_k) {
-                        *x += mki * mkj;
+                for i in single..r.end.min(k1) {
+                    let a = row_of(rows, r.start, n, i);
+                    for k in i.max(k0)..k1 {
+                        let m_k = &linv.row(k)[..=i];
+                        let mki = m_k[i];
+                        for (x, &mkj) in a.iter_mut().zip(m_k) {
+                            *x += mki * mkj;
+                        }
                     }
                 }
+                k0 = k1;
             }
-            k0 = k1;
-        }
-    });
+        },
+    );
 }
 
 /// `Σ a_i b_i` with four interleaved partial sums combined at the end: a
@@ -1012,6 +997,10 @@ fn dot_fixed_order(a: &[f64], b: &[f64]) -> f64 {
         .sum();
     (acc[0] + acc[1]) + (acc[2] + acc[3]) + tail
 }
+
+#[cfg(test)]
+#[path = "tests/gp_reference.rs"]
+mod reference_tests;
 
 #[cfg(test)]
 mod tests {
@@ -1331,9 +1320,10 @@ mod tests {
             floor: FD_FLOOR,
             workers: 1,
         };
-        let mut scratch = LmlScratch::new(x.len(), tensor.n_pairs());
+        let mut restart = LmlRestart::new(&objective);
         let mut grad = vec![f64::NAN; p.len()];
-        let f = objective.neg_lml_grad(p, &mut scratch, &mut grad);
+        let f = restart.value(p);
+        restart.gradient(p, &mut grad);
         (f, grad)
     }
 

@@ -128,9 +128,35 @@ impl Kernel {
         }
     }
 
-    /// Slope `dg/d(r²)` of the unit-variance profile `g` at `r²` — the
+    /// The unit-variance profile `g(r²)` and its slope `dg/d(r²)` — the
     /// factor the length-scale gradient of the log marginal likelihood
-    /// multiplies each pair's squared differences by.
+    /// multiplies each pair's squared differences by — from one square
+    /// root and one exponential. Both run the same operations on the same
+    /// intermediates as the profile and the slope evaluated separately,
+    /// so they are bit-identical to them.
+    pub(crate) fn profile_and_slope(&self, r2: f64) -> (f64, f64) {
+        match self.kind {
+            KernelKind::SquaredExp => {
+                let e = (-0.5 * r2).exp();
+                (e, -0.5 * e)
+            }
+            KernelKind::Matern32 => {
+                let s = 3.0_f64.sqrt() * r2.sqrt();
+                let e = (-s).exp();
+                ((1.0 + s) * e, -1.5 * e)
+            }
+            KernelKind::Matern52 => {
+                let s = 5.0_f64.sqrt() * r2.sqrt();
+                let e = (-s).exp();
+                ((1.0 + s + s * s / 3.0) * e, -(5.0 / 6.0) * (1.0 + s) * e)
+            }
+        }
+    }
+
+    /// Slope `dg/d(r²)` evaluated on its own, as the gradient pass did
+    /// before [`Kernel::profile_and_slope`] fused it into the kernel fill;
+    /// kept as that function's bit-identity oracle.
+    #[cfg(test)]
     pub(crate) fn profile_slope(&self, r2: f64) -> f64 {
         match self.kind {
             KernelKind::SquaredExp => -0.5 * (-0.5 * r2).exp(),
@@ -173,6 +199,52 @@ impl Kernel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    const KINDS: [KernelKind; 3] = [
+        KernelKind::SquaredExp,
+        KernelKind::Matern32,
+        KernelKind::Matern52,
+    ];
+
+    /// The fused value and slope match the separate profile and slope
+    /// evaluations bit for bit.
+    fn assert_fused_matches_separate(variance: f64, r2: f64) {
+        for kind in KINDS {
+            let k = Kernel::with_params(kind, variance, vec![1.0]);
+            let (g, slope) = k.profile_and_slope(r2);
+            let what = format!("{kind:?} variance={variance} r2={r2}");
+            assert_eq!(
+                (variance * g).to_bits(),
+                k.eval_r2(r2).to_bits(),
+                "{what}: value"
+            );
+            assert_eq!(
+                slope.to_bits(),
+                k.profile_slope(r2).to_bits(),
+                "{what}: slope"
+            );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn fused_profile_and_slope_are_bit_identical(
+            variance in 1e-3..1e3f64,
+            r2 in prop_oneof![Just(0.0), 0.0..1e-6f64, 0.0..4.0f64, 0.0..2e3f64],
+        ) {
+            assert_fused_matches_separate(variance, r2);
+        }
+    }
+
+    #[test]
+    fn fused_profile_and_slope_at_zero_distance() {
+        assert_fused_matches_separate(1.0, 0.0);
+        for kind in KINDS {
+            let (g, _) = Kernel::new(kind, 1).profile_and_slope(0.0);
+            assert_eq!(g, 1.0, "{kind:?}");
+        }
+    }
 
     #[test]
     fn self_covariance_is_variance() {

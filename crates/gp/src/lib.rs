@@ -17,9 +17,11 @@
 //!   tier-selection layer over it: `O(N·m²)` training against the
 //!   variational ELBO, `O(m)`/`O(m²)` predictions, automatic escalation
 //!   past a configurable training-set size ([`TierPolicy`]);
-//! * [`lbfgs`] / [`nelder_mead`] — the gradient-based and the
-//!   derivative-free minimizer (the latter drives the sparse tier's ELBO),
-//!   exposed for reuse.
+//! * [`lbfgs`] / [`lbfgs_split`] / [`nelder_mead`] — the gradient-based
+//!   minimizer (over a fused value-plus-gradient closure, or over an
+//!   [`LbfgsObjective`] whose gradient step runs only at accepted
+//!   line-search points) and the derivative-free one (it drives the
+//!   sparse tier's ELBO), exposed for reuse.
 //!
 //! Targets are standardized internally (zero mean, unit variance) so kernel
 //! hyperparameter priors stay scale-free; predictions are returned in the
@@ -45,7 +47,9 @@ mod sparse;
 pub use cets_linalg::{ParConfig, Threads};
 pub use gp::{Gp, GpConfig, TrainStats, APPEND_CONDITION_LIMIT};
 pub use kernel::{Kernel, KernelKind};
-pub use optimize::{lbfgs, nelder_mead, LbfgsOptions, LbfgsResult, NelderMeadOptions};
+pub use optimize::{
+    lbfgs, lbfgs_split, nelder_mead, LbfgsObjective, LbfgsOptions, LbfgsResult, NelderMeadOptions,
+};
 pub use sparse::{select_inducing, SparseGp, SparseOptions, Surrogate, SurrogateTier, TierPolicy};
 
 /// Errors from GP fitting.

@@ -42,19 +42,139 @@ const ARMIJO: f64 = 1e-4;
 /// Step halvings one line search may try before giving up.
 const MAX_HALVINGS: usize = 30;
 
-/// Minimize `fg` from `x0` with L-BFGS: the two-loop recursion over the
-/// last ten correction pairs gives the search direction, and an Armijo
+/// An objective [`lbfgs_split`] evaluates in two steps: the value at every
+/// line-search trial, and the gradient only at a trial the line search
+/// accepts.
+pub trait LbfgsObjective {
+    /// The objective at `x`.
+    fn value(&mut self, x: &[f64]) -> f64;
+    /// The gradient at the `x` of the preceding [`LbfgsObjective::value`]
+    /// call, which returned a finite value, written into `grad`.
+    fn gradient(&mut self, x: &[f64], grad: &mut [f64]);
+}
+
+/// Minimize `fg` from `x0` with L-BFGS, where `fg(x, grad)` returns the
+/// objective at `x` and writes its gradient into `grad`. This is
+/// [`lbfgs_split`] over an objective whose value step computes both; an
+/// objective with a cheaper value alone should implement
+/// [`LbfgsObjective`] instead.
+pub fn lbfgs(
+    fg: impl FnMut(&[f64], &mut [f64]) -> f64,
+    x0: &[f64],
+    opts: &LbfgsOptions,
+) -> LbfgsResult {
+    struct Fused<F> {
+        fg: F,
+        grad: Vec<f64>,
+    }
+    impl<F: FnMut(&[f64], &mut [f64]) -> f64> LbfgsObjective for Fused<F> {
+        fn value(&mut self, x: &[f64]) -> f64 {
+            (self.fg)(x, &mut self.grad)
+        }
+        fn gradient(&mut self, _x: &[f64], grad: &mut [f64]) {
+            grad.copy_from_slice(&self.grad);
+        }
+    }
+    let grad = vec![0.0; x0.len()];
+    lbfgs_split(&mut Fused { fg, grad }, x0, opts)
+}
+
+/// Minimize `objective` from `x0` with L-BFGS: the two-loop recursion over
+/// the last ten correction pairs gives the search direction, and an Armijo
 /// backtracking line search (halving from a unit step) picks the step
 /// length.
 ///
-/// `fg(x, grad)` returns the objective at `x` and writes its gradient into
-/// `grad`. A trial point whose value or gradient is not finite (e.g. a
+/// Every trial costs one value step and counts as one evaluation; the
+/// gradient step runs only for a trial whose value is finite and passes
+/// the Armijo test. A trial whose value or gradient is not finite (e.g. a
 /// kernel matrix that fails to factorize) counts as a failed trial and
 /// halves the step. The run stops at the evaluation cap, when the gradient
 /// falls below its tolerance, or when the line search finds no acceptable
 /// step. It consumes no randomness and runs the same arithmetic on every
-/// call, so it is deterministic.
-pub fn lbfgs(
+/// call, so it is deterministic; and it makes the same decisions as
+/// computing the gradient at every trial would.
+pub fn lbfgs_split(
+    objective: &mut impl LbfgsObjective,
+    x0: &[f64],
+    opts: &LbfgsOptions,
+) -> LbfgsResult {
+    let n = x0.len();
+    let mut x = x0.to_vec();
+    let mut g = vec![0.0; n];
+    let mut f = objective.value(&x);
+    let mut evals = 1;
+    if f.is_finite() {
+        objective.gradient(&x, &mut g);
+    }
+    if !f.is_finite() || !all_finite(&g) {
+        let f = if f.is_finite() { f } else { f64::INFINITY };
+        return LbfgsResult { x, f, evals };
+    }
+    // (s, y, 1/(sᵀy)) correction pairs, oldest first.
+    let mut hist: VecDeque<(Vec<f64>, Vec<f64>, f64)> = VecDeque::with_capacity(MEMORY);
+    let mut x_new = vec![0.0; n];
+    let mut g_new = vec![0.0; n];
+    while evals < opts.max_evals && max_abs(&g) > opts.g_tol {
+        let mut d = direction(&g, &hist);
+        let mut slope = dot(&g, &d);
+        if !(slope < 0.0 && slope.is_finite()) {
+            // Not a descent direction: restart from steepest descent.
+            hist.clear();
+            d = g.iter().map(|v| -v).collect();
+            slope = -dot(&g, &g);
+        }
+        // Without curvature information the direction carries no scale;
+        // cap the first trial at a unit move in log-space.
+        let mut t = if hist.is_empty() {
+            (1.0 / max_abs(&d)).min(1.0)
+        } else {
+            1.0
+        };
+        let mut accepted = None;
+        for _ in 0..MAX_HALVINGS {
+            if evals >= opts.max_evals {
+                break;
+            }
+            for ((xn, &xi), &di) in x_new.iter_mut().zip(&x).zip(&d) {
+                *xn = xi + t * di;
+            }
+            let f_trial = objective.value(&x_new);
+            evals += 1;
+            if f_trial.is_finite() && f_trial <= f + ARMIJO * t * slope {
+                objective.gradient(&x_new, &mut g_new);
+                if all_finite(&g_new) {
+                    accepted = Some(f_trial);
+                    break;
+                }
+            }
+            t *= 0.5;
+        }
+        let Some(f_new) = accepted else {
+            break;
+        };
+        let s: Vec<f64> = x_new.iter().zip(&x).map(|(a, b)| a - b).collect();
+        let y: Vec<f64> = g_new.iter().zip(&g).map(|(a, b)| a - b).collect();
+        let sy = dot(&s, &y);
+        // Keep the pair only under positive curvature, so the implied
+        // inverse Hessian stays positive definite.
+        if sy > f64::EPSILON * dot(&y, &y) {
+            if hist.len() == MEMORY {
+                hist.pop_front();
+            }
+            hist.push_back((s, y, 1.0 / sy));
+        }
+        std::mem::swap(&mut x, &mut x_new);
+        std::mem::swap(&mut g, &mut g_new);
+        f = f_new;
+    }
+    LbfgsResult { x, f, evals }
+}
+
+/// L-BFGS as it ran before the value/gradient split: every trial
+/// evaluates the value and the gradient together. Kept as the
+/// bit-identity oracle of [`lbfgs_split`].
+#[cfg(test)]
+pub(crate) fn lbfgs_eager(
     mut fg: impl FnMut(&[f64], &mut [f64]) -> f64,
     x0: &[f64],
     opts: &LbfgsOptions,
@@ -444,6 +564,100 @@ mod tests {
         let r = lbfgs(f, &[7.0], &LbfgsOptions::default());
         assert_eq!(r.f, f64::INFINITY);
         assert_eq!(r.evals, 1);
+    }
+
+    /// An objective that counts its gradient steps, for comparing the
+    /// split L-BFGS against the eager reference.
+    struct Counted<F> {
+        fg: F,
+        grad: Vec<f64>,
+        gradients: usize,
+    }
+
+    impl<F: FnMut(&[f64], &mut [f64]) -> f64> LbfgsObjective for Counted<F> {
+        fn value(&mut self, x: &[f64]) -> f64 {
+            (self.fg)(x, &mut self.grad)
+        }
+        fn gradient(&mut self, _x: &[f64], grad: &mut [f64]) {
+            self.gradients += 1;
+            grad.copy_from_slice(&self.grad);
+        }
+    }
+
+    #[test]
+    fn split_lbfgs_matches_eager_reference_bit_for_bit() {
+        fn check(f: impl Fn(&[f64], &mut [f64]) -> f64 + Copy, x0: &[f64], o: &LbfgsOptions) {
+            let bits = |r: &LbfgsResult| {
+                let x: Vec<u64> = r.x.iter().map(|v| v.to_bits()).collect();
+                (x, r.f.to_bits(), r.evals)
+            };
+            let eager = bits(&lbfgs_eager(f, x0, o));
+            let grad = vec![0.0; x0.len()];
+            let mut counted = Counted {
+                fg: f,
+                grad,
+                gradients: 0,
+            };
+            let split = lbfgs_split(&mut counted, x0, o);
+            assert_eq!(bits(&split), eager, "from {x0:?}");
+            assert_eq!(bits(&lbfgs(f, x0, o)), eager, "from {x0:?}");
+            assert!(counted.gradients <= split.evals, "from {x0:?}");
+        }
+        let walled = |x: &[f64], g: &mut [f64]| {
+            if x[0] < 0.0 {
+                f64::INFINITY
+            } else if x[0] > 5.0 {
+                f64::NAN
+            } else {
+                g[0] = 8.0 * (x[0] - 1.0);
+                4.0 * (x[0] - 1.0).powi(2)
+            }
+        };
+        let opts = LbfgsOptions::default();
+        let tight = LbfgsOptions {
+            max_evals: 500,
+            g_tol: 1e-8,
+        };
+        // A finite value with a NaN gradient around the minimum: the
+        // quasi-Newton step from 4 lands there, so that trial must be
+        // rejected although its value passes the Armijo test.
+        let nan_slope = |x: &[f64], g: &mut [f64]| {
+            g[0] = if (0.5..1.5).contains(&x[0]) {
+                f64::NAN
+            } else {
+                2.0 * (x[0] - 1.0)
+            };
+            (x[0] - 1.0).powi(2)
+        };
+        check(&quadratic(&[3.0, -1.0, 0.5, 2.0]), &[0.0; 4], &opts);
+        check(rosenbrock, &[-1.2, 1.0], &tight);
+        for x0 in [4.9, 0.05, 7.0] {
+            check(walled, &[x0], &opts);
+        }
+        check(nan_slope, &[4.0], &opts);
+    }
+
+    #[test]
+    fn gradient_runs_only_at_accepted_points() {
+        // Rosenbrock's curved valley makes the line search reject trials;
+        // none of them pays for a gradient.
+        let mut counted = Counted {
+            fg: rosenbrock,
+            grad: vec![0.0; 2],
+            gradients: 0,
+        };
+        let opts = LbfgsOptions {
+            max_evals: 500,
+            g_tol: 1e-8,
+        };
+        let r = lbfgs_split(&mut counted, &[-1.2, 1.0], &opts);
+        assert!((r.x[0] - 1.0).abs() < 1e-4, "{:?}", r.x);
+        assert!(
+            counted.gradients < r.evals,
+            "{} gradients over {} evals",
+            counted.gradients,
+            r.evals
+        );
     }
 
     #[test]

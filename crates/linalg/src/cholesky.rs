@@ -51,19 +51,9 @@ impl Cholesky {
         max_jitter: f64,
         workers: usize,
     ) -> Result<Self> {
-        let mut jitter = initial;
-        loop {
-            match Self::with_jitter(a, jitter, workers) {
-                Ok(c) => return Ok(c),
-                Err(_) if jitter == 0.0 => jitter = max_jitter * 1e-8,
-                Err(_) if jitter < max_jitter => jitter = (jitter * 10.0).min(max_jitter),
-                Err(_) => {
-                    return Err(LinalgError::NotPositiveDefinite {
-                        last_jitter: jitter,
-                    })
-                }
-            }
-        }
+        escalate(initial, max_jitter, |jitter| {
+            Self::with_jitter(a, jitter, workers)
+        })
     }
 
     /// Factorize with the default escalation policy: start at zero jitter,
@@ -75,10 +65,7 @@ impl Cholesky {
     /// [`Cholesky::new_jittered`] with an explicit worker count (see
     /// [`Cholesky::new_escalating_with`]).
     pub fn new_jittered_with(a: &Matrix, workers: usize) -> Result<Self> {
-        let n = a.rows().max(1);
-        let mean_diag = a.diag().iter().map(|d| d.abs()).sum::<f64>() / n as f64;
-        let max_jitter = (mean_diag * 1e-4).max(1e-12);
-        Self::new_escalating_with(a, 0.0, max_jitter, workers)
+        Self::new_escalating_with(a, 0.0, default_max_jitter(a), workers)
     }
 
     fn with_jitter(a: &Matrix, jitter: f64, workers: usize) -> Result<Self> {
@@ -95,9 +82,10 @@ impl Cholesky {
         }
     }
 
-    /// Reference (unblocked) factorization — the oracle the blocked kernel
-    /// is property-tested against. Prefer [`Cholesky::new`] /
-    /// [`Cholesky::new_jittered`], which pick the faster kernel by size.
+    /// Scalar (unblocked) factorization regardless of size — the kernel
+    /// the blocked one is property-tested against. Prefer
+    /// [`Cholesky::new`] / [`Cholesky::new_jittered`], which pick the
+    /// faster kernel by size.
     pub fn new_unblocked(a: &Matrix) -> Result<Self> {
         if !a.is_square() {
             return Err(LinalgError::NotSquare {
@@ -121,31 +109,12 @@ impl Cholesky {
         Self::factor_blocked(a, 0.0, 1)
     }
 
-    /// Classic scalar row-by-row factorization.
+    /// Scalar factorization: the whole matrix is one diagonal block for
+    /// [`factor_diag_block`].
     fn factor_scalar(a: &Matrix, jitter: f64) -> Result<Self> {
         let n = a.rows();
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            for j in 0..=i {
-                let mut sum = a[(i, j)];
-                if i == j {
-                    sum += jitter;
-                }
-                for k in 0..j {
-                    sum -= l[(i, k)] * l[(j, k)];
-                }
-                if i == j {
-                    if sum <= 0.0 || !sum.is_finite() {
-                        return Err(LinalgError::NotPositiveDefinite {
-                            last_jitter: jitter,
-                        });
-                    }
-                    l[(i, j)] = sum.sqrt();
-                } else {
-                    l[(i, j)] = sum / l[(j, j)];
-                }
-            }
-        }
+        let mut l = lower_plus_jitter(a, jitter);
+        factor_diag_block(l.as_mut_slice(), n, 0, n, jitter)?;
         Ok(Cholesky { l, jitter })
     }
 
@@ -160,84 +129,31 @@ impl Cholesky {
     /// split into contiguous row ranges across scoped threads; see
     /// [`trailing_update_rows`] for why the factor stays bit-identical.
     fn factor_blocked(a: &Matrix, jitter: f64, workers: usize) -> Result<Self> {
+        Self::factor_blocked_with(a, jitter, workers, factor_diag_block)
+    }
+
+    /// [`Cholesky::factor_blocked`] with the diagonal-block step passed in,
+    /// so tests can run the blocked kernel over the reference step.
+    fn factor_blocked_with(
+        a: &Matrix,
+        jitter: f64,
+        workers: usize,
+        diag_step: DiagStep,
+    ) -> Result<Self> {
         let n = a.rows();
         // Work in-place on the lower triangle of `a` (+ jitter).
-        let mut l = Matrix::zeros(n, n);
-        for i in 0..n {
-            let (dst, src) = (&mut l.row_mut(i)[..=i], &a.row(i)[..=i]);
-            dst.copy_from_slice(src);
-            dst[i] += jitter;
-        }
+        let mut l = lower_plus_jitter(a, jitter);
         let mut kb = 0;
         while kb < n {
             let b = BLOCK.min(n - kb);
             // 1. Factor the diagonal block in place (columns kb..kb+b of
             //    rows kb..kb+b; earlier panels were already applied by the
             //    right-looking trailing updates).
-            for jj in 0..b {
-                let j = kb + jj;
-                let mut d = l[(j, j)];
-                for c in kb..j {
-                    d -= l[(j, c)] * l[(j, c)];
-                }
-                if d <= 0.0 || !d.is_finite() {
-                    return Err(LinalgError::NotPositiveDefinite {
-                        last_jitter: jitter,
-                    });
-                }
-                let piv = d.sqrt();
-                l[(j, j)] = piv;
-                for i in (j + 1)..(kb + b) {
-                    let mut s = l[(i, j)];
-                    for c in kb..j {
-                        s -= l[(i, c)] * l[(j, c)];
-                    }
-                    l[(i, j)] = s / piv;
-                }
-            }
+            diag_step(l.as_mut_slice(), n, kb, b, jitter)?;
             // 2. Panel solve: rows below the block against the block's
-            //    lower-triangular factor, register-blocked four rows at a
-            //    time — the four dot products share the `row_j` loads and
-            //    run as independent accumulator chains. Each row's
-            //    arithmetic order (ascending `j`, ascending `c` within the
-            //    dot) is unchanged, so the factor is bit-identical to the
-            //    row-at-a-time form.
-            {
-                let (head, tail) = l.as_mut_slice().split_at_mut((kb + b) * n);
-                let mut quads = tail.chunks_exact_mut(4 * n);
-                for quad in &mut quads {
-                    let (r0, rest) = quad.split_at_mut(n);
-                    let (r1, rest) = rest.split_at_mut(n);
-                    let (r2, r3) = rest.split_at_mut(n);
-                    for jj in 0..b {
-                        let j = kb + jj;
-                        let row_j = &head[j * n + kb..j * n + j];
-                        let piv = head[j * n + j];
-                        let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
-                        for (c, &ljc) in row_j.iter().enumerate() {
-                            s0 -= r0[kb + c] * ljc;
-                            s1 -= r1[kb + c] * ljc;
-                            s2 -= r2[kb + c] * ljc;
-                            s3 -= r3[kb + c] * ljc;
-                        }
-                        r0[j] = s0 / piv;
-                        r1[j] = s1 / piv;
-                        r2[j] = s2 / piv;
-                        r3[j] = s3 / piv;
-                    }
-                }
-                for row in quads.into_remainder().chunks_exact_mut(n) {
-                    for jj in 0..b {
-                        let j = kb + jj;
-                        let row_j = &head[j * n + kb..j * n + j];
-                        let mut s = row[j];
-                        for (c, &ljc) in row_j.iter().enumerate() {
-                            s -= row[kb + c] * ljc;
-                        }
-                        row[j] = s / head[j * n + j];
-                    }
-                }
-            }
+            //    lower-triangular factor.
+            let (head, tail) = l.as_mut_slice().split_at_mut((kb + b) * n);
+            solve_panel(head, tail, n, kb, kb + b);
             // 3. Trailing SYRK update, micro-tiled: A' -= P Pᵀ where P is
             //    the just-computed panel (see `trailing_update_rows` for
             //    the kernel). Trailing rows only read panel columns
@@ -255,7 +171,7 @@ impl Cholesky {
                 let base = par::SendPtr::new(l.as_mut_slice().as_mut_ptr());
                 // Row i costs (i - tail + 1)·b flops, so triangular ranges
                 // balance the load where equal chunks would not.
-                par::for_each_range(par::triangular_ranges(span, w), |r| {
+                par::for_each_part(par::triangular_ranges(span, w), |r| {
                     // SAFETY: the ranges are disjoint, so rows
                     // [tail + r.start, tail + r.end) are written by this
                     // worker alone; panel columns are read-only for every
@@ -580,6 +496,141 @@ impl Cholesky {
     }
 }
 
+/// The jitter ceiling of [`Cholesky::new_jittered`]: `1e-4 · mean(|diag|)`,
+/// at least `1e-12`.
+fn default_max_jitter(a: &Matrix) -> f64 {
+    let n = a.rows().max(1);
+    let mean_diag = a.diag().iter().map(|d| d.abs()).sum::<f64>() / n as f64;
+    (mean_diag * 1e-4).max(1e-12)
+}
+
+/// Run `factor` from `initial` jitter, escalating 10x per failure up to
+/// `max_jitter` (a zero start jumps straight to `max_jitter · 1e-8`).
+fn escalate(
+    initial: f64,
+    max_jitter: f64,
+    factor: impl Fn(f64) -> Result<Cholesky>,
+) -> Result<Cholesky> {
+    let mut jitter = initial;
+    loop {
+        match factor(jitter) {
+            Ok(c) => return Ok(c),
+            Err(_) if jitter == 0.0 => jitter = max_jitter * 1e-8,
+            Err(_) if jitter < max_jitter => jitter = (jitter * 10.0).min(max_jitter),
+            Err(_) => {
+                return Err(LinalgError::NotPositiveDefinite {
+                    last_jitter: jitter,
+                })
+            }
+        }
+    }
+}
+
+/// The diagonal-block step of the factorization: factor rows and columns
+/// `kb..kb + b` of the `n`-wide row-major `l` in place, the dot products
+/// running over columns `kb..j` (earlier columns were already applied).
+type DiagStep = fn(&mut [f64], usize, usize, usize, f64) -> Result<()>;
+
+/// The lower triangle of `a` with `jitter` added to the diagonal; the strict
+/// upper triangle is zero.
+fn lower_plus_jitter(a: &Matrix, jitter: f64) -> Matrix {
+    let n = a.rows();
+    let mut l = Matrix::zeros(n, n);
+    for i in 0..n {
+        let (dst, src) = (&mut l.row_mut(i)[..=i], &a.row(i)[..=i]);
+        dst.copy_from_slice(src);
+        dst[i] += jitter;
+    }
+    l
+}
+
+/// Factor the diagonal block `kb..kb + b` of `l` in place, four rows at a
+/// time (see [`DiagStep`]). Each group's columns left of the group are a
+/// [`solve_panel`] against the rows already finished; the small triangle
+/// inside the group then runs row by row. Every entry subtracts its terms
+/// one at a time in ascending column order from its own input, exactly as
+/// the row-by-row kernel does, so the factor is bit-identical to it — and
+/// so is the outcome when a pivot is not positive.
+fn factor_diag_block(l: &mut [f64], n: usize, kb: usize, b: usize, jitter: f64) -> Result<()> {
+    let end = kb + b;
+    let mut i0 = kb;
+    while i0 < end {
+        let i1 = (i0 + 4).min(end);
+        let (head, tail) = l.split_at_mut(i0 * n);
+        let rows = &mut tail[..(i1 - i0) * n];
+        solve_panel(head, rows, n, kb, i0);
+        for i in i0..i1 {
+            let ri = (i - i0) * n;
+            for j in i0..=i {
+                let rj = (j - i0) * n;
+                let mut s = rows[ri + j];
+                for (&lic, &ljc) in rows[ri + kb..ri + j].iter().zip(&rows[rj + kb..rj + j]) {
+                    s -= lic * ljc;
+                }
+                if i == j {
+                    if s <= 0.0 || !s.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite {
+                            last_jitter: jitter,
+                        });
+                    }
+                    rows[ri + j] = s.sqrt();
+                } else {
+                    rows[ri + j] = s / rows[rj + j];
+                }
+            }
+        }
+        i0 = i1;
+    }
+    Ok(())
+}
+
+/// Forward-solve the whole `n`-wide rows of `rows` against the finished
+/// factor rows `kb..jend` of `head`: for ascending `j`,
+/// `row[j] = (row[j] − Σ_{c ∈ kb..j} row[c] · L[j][c]) / L[j][j]`, one
+/// term at a time in ascending `c`. Rows go four at a time: the four dot
+/// products share the `L[j]` loads and run as independent accumulator
+/// chains. No entry's arithmetic order changes, so the result is
+/// bit-identical to the row-at-a-time form.
+fn solve_panel(head: &[f64], rows: &mut [f64], n: usize, kb: usize, jend: usize) {
+    let mut quads = rows.chunks_exact_mut(4 * n);
+    for quad in &mut quads {
+        let (r0, rest) = quad.split_at_mut(n);
+        let (r1, rest) = rest.split_at_mut(n);
+        let (r2, r3) = rest.split_at_mut(n);
+        for j in kb..jend {
+            let row_j = &head[j * n + kb..j * n + j];
+            let (mut s0, mut s1, mut s2, mut s3) = (r0[j], r1[j], r2[j], r3[j]);
+            let terms = row_j
+                .iter()
+                .zip(&r0[kb..j])
+                .zip(&r1[kb..j])
+                .zip(&r2[kb..j])
+                .zip(&r3[kb..j]);
+            for ((((&ljc, &a0), &a1), &a2), &a3) in terms {
+                s0 -= a0 * ljc;
+                s1 -= a1 * ljc;
+                s2 -= a2 * ljc;
+                s3 -= a3 * ljc;
+            }
+            let piv = head[j * n + j];
+            r0[j] = s0 / piv;
+            r1[j] = s1 / piv;
+            r2[j] = s2 / piv;
+            r3[j] = s3 / piv;
+        }
+    }
+    for row in quads.into_remainder().chunks_exact_mut(n) {
+        for j in kb..jend {
+            let row_j = &head[j * n + kb..j * n + j];
+            let mut s = row[j];
+            for (&ljc, &a) in row_j.iter().zip(&row[kb..j]) {
+                s -= a * ljc;
+            }
+            row[j] = s / head[j * n + j];
+        }
+    }
+}
+
 /// One worker's share of the blocked factorization's trailing SYRK
 /// update: `A'[i][j] -= Σ_k P[i][k] P[j][k]` for rows `lo..hi` (all of
 /// `tail..n` when sequential), where `P` is the panel `L[.., kb..kb+b]`.
@@ -681,6 +732,167 @@ unsafe fn trailing_update_rows(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// The row-by-row scalar factorization the row-blocked kernel
+    /// replaced, kept as its bit-identity oracle.
+    fn factor_scalar_reference(a: &Matrix, jitter: f64) -> Result<Cholesky> {
+        let n = a.rows();
+        let mut l = Matrix::zeros(n, n);
+        for i in 0..n {
+            for j in 0..=i {
+                let mut sum = a[(i, j)];
+                if i == j {
+                    sum += jitter;
+                }
+                for k in 0..j {
+                    sum -= l[(i, k)] * l[(j, k)];
+                }
+                if i == j {
+                    if sum <= 0.0 || !sum.is_finite() {
+                        return Err(LinalgError::NotPositiveDefinite {
+                            last_jitter: jitter,
+                        });
+                    }
+                    l[(i, j)] = sum.sqrt();
+                } else {
+                    l[(i, j)] = sum / l[(j, j)];
+                }
+            }
+        }
+        Ok(Cholesky { l, jitter })
+    }
+
+    /// The column-by-column diagonal-block step of the blocked kernel that
+    /// the row-blocked step replaced, kept as its bit-identity oracle.
+    fn diag_block_reference(
+        l: &mut [f64],
+        n: usize,
+        kb: usize,
+        b: usize,
+        jitter: f64,
+    ) -> Result<()> {
+        for jj in 0..b {
+            let j = kb + jj;
+            let mut d = l[j * n + j];
+            for c in kb..j {
+                d -= l[j * n + c] * l[j * n + c];
+            }
+            if d <= 0.0 || !d.is_finite() {
+                return Err(LinalgError::NotPositiveDefinite {
+                    last_jitter: jitter,
+                });
+            }
+            let piv = d.sqrt();
+            l[j * n + j] = piv;
+            for i in (j + 1)..(kb + b) {
+                let mut s = l[i * n + j];
+                for c in kb..j {
+                    s -= l[i * n + c] * l[j * n + c];
+                }
+                l[i * n + j] = s / piv;
+            }
+        }
+        Ok(())
+    }
+
+    /// The factorization as it was dispatched before the row-blocked
+    /// kernels: row by row below the blocking threshold, the blocked
+    /// kernel over the column-wise diagonal step from it on.
+    fn with_jitter_reference(a: &Matrix, jitter: f64, workers: usize) -> Result<Cholesky> {
+        if a.rows() >= BLOCK * 2 {
+            Cholesky::factor_blocked_with(a, jitter, workers, diag_block_reference)
+        } else {
+            factor_scalar_reference(a, jitter)
+        }
+    }
+
+    fn assert_bit_identical(got: Result<Cholesky>, want: Result<Cholesky>, what: &str) {
+        match (got, want) {
+            (Ok(g), Ok(w)) => {
+                assert_eq!(g.jitter.to_bits(), w.jitter.to_bits(), "{what}: jitter");
+                let bits = |c: &Cholesky| {
+                    c.l.as_slice()
+                        .iter()
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&g), bits(&w), "{what}: factor entries");
+            }
+            (Err(g), Err(w)) => assert_eq!(g, w, "{what}: error"),
+            (g, w) => panic!(
+                "{what}: got {:?}, want {:?}",
+                g.map(|c| c.jitter),
+                w.map(|c| c.jitter)
+            ),
+        }
+    }
+
+    /// A Gram matrix of `n` seeded points in the unit cube. `kind` 0 is
+    /// well conditioned; kind 1 is numerically singular (duplicated points,
+    /// a long length-scale, no noise), so the default policy must escalate
+    /// the jitter; kind 2 has one negative diagonal entry, so every jitter
+    /// level fails.
+    fn gram_case(n: usize, seed: u64, kind: u8) -> Matrix {
+        let mut state = seed;
+        let mut next = move || {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let distinct = if kind == 1 { n.div_ceil(2) } else { n };
+        let pts: Vec<[f64; 3]> = (0..distinct).map(|_| [next(), next(), next()]).collect();
+        let (inv_ls2, noise) = if kind == 1 { (0.25, 0.0) } else { (25.0, 1e-2) };
+        let mut a = Matrix::from_fn(n, n, |i, j| {
+            let (p, q) = (pts[i % distinct], pts[j % distinct]);
+            let r2: f64 = p.iter().zip(&q).map(|(x, y)| (x - y) * (x - y)).sum();
+            (-0.5 * r2 * inv_ls2).exp() + if i == j { noise } else { 0.0 }
+        });
+        if kind == 2 {
+            let at = (next() * n as f64) as usize % n;
+            a[(at, at)] = -1.0;
+        }
+        a
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        #[test]
+        fn factor_is_bit_identical_to_reference(n in 1usize..=130, seed in 0u64..1_000_000, kind in 0u8..3) {
+            let a = gram_case(n, seed, kind);
+            let what = format!("n={n} seed={seed} kind={kind}");
+            assert_bit_identical(
+                Cholesky::factor_scalar(&a, 0.0),
+                factor_scalar_reference(&a, 0.0),
+                &format!("scalar {what}"),
+            );
+            for workers in [1, 2] {
+                assert_bit_identical(
+                    Cholesky::factor_blocked(&a, 0.0, workers),
+                    Cholesky::factor_blocked_with(&a, 0.0, workers, diag_block_reference),
+                    &format!("blocked w={workers} {what}"),
+                );
+                assert_bit_identical(
+                    Cholesky::new_jittered_with(&a, workers),
+                    escalate(0.0, default_max_jitter(&a), |j| with_jitter_reference(&a, j, workers)),
+                    &format!("jittered w={workers} {what}"),
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn gram_cases_cover_clean_escalated_and_failed_factors() {
+        for n in [40, 110] {
+            let jitter = |kind| Cholesky::new_jittered(&gram_case(n, 7, kind)).map(|c| c.jitter());
+            assert_eq!(jitter(0), Ok(0.0), "n={n}");
+            assert!(jitter(1).is_ok_and(|j| j > 0.0), "n={n}: {:?}", jitter(1));
+            assert!(jitter(2).is_err(), "n={n}");
+        }
+    }
 
     fn spd3() -> Matrix {
         Matrix::from_rows(&[

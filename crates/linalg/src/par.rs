@@ -164,34 +164,59 @@ pub fn triangular_ranges(n: usize, workers: usize) -> Vec<Range<usize>> {
     out
 }
 
-/// Run `body` once per range, on scoped threads when there are two or
-/// more ranges and inline otherwise.
+/// Run `body` once per part, on scoped threads when there are two or more
+/// parts and inline otherwise.
 ///
-/// The caller guarantees that `body` touches disjoint state for disjoint
-/// ranges; under that contract the result is bit-identical to the
+/// A part is one worker's share of the work: an index range over state the
+/// caller keeps disjoint, or a disjoint mutable block from
+/// [`split_blocks`]. Under that contract the result is bit-identical to the
 /// sequential sweep whenever `body` performs per-element independent
 /// arithmetic.
-pub fn for_each_range<F>(ranges: Vec<Range<usize>>, body: F)
+pub fn for_each_part<T, F>(parts: Vec<T>, body: F)
 where
-    F: Fn(Range<usize>) + Sync,
+    T: Send,
+    F: Fn(T) + Sync,
 {
-    if ranges.len() <= 1 {
-        if let Some(r) = ranges.into_iter().next() {
-            body(r);
+    if parts.len() <= 1 {
+        if let Some(p) = parts.into_iter().next() {
+            body(p);
         }
         return;
     }
     std::thread::scope(|scope| {
-        for r in ranges {
+        for p in parts {
             let body = &body;
-            scope.spawn(move || body(r));
+            scope.spawn(move || body(p));
         }
     });
 }
 
+/// Split `data` into one mutable block per range of `ranges` (ascending and
+/// contiguous from 0): range `r` gets the elements
+/// `offset(r.start)..offset(r.end)`, paired with `r` itself. `offset` maps
+/// a row index to where that row starts — `i * width` for a row-major
+/// matrix, `i(i−1)/2` for a packed strict lower triangle — and must be
+/// non-decreasing with `offset(0) == 0`; it panics when the blocks run
+/// past the end of `data`. Hand the blocks to [`for_each_part`] to fill
+/// them on separate workers.
+pub fn split_blocks<'a, T>(
+    data: &'a mut [T],
+    ranges: &[Range<usize>],
+    offset: impl Fn(usize) -> usize,
+) -> Vec<(&'a mut [T], Range<usize>)> {
+    let mut rest = data;
+    let mut out = Vec::with_capacity(ranges.len());
+    for r in ranges {
+        let (block, tail) = rest.split_at_mut(offset(r.end) - offset(r.start));
+        out.push((block, r.clone()));
+        rest = tail;
+    }
+    out
+}
+
 /// Run `body(range)` over fixed equal-length chunks of `0..n`, on scoped
 /// threads when `workers > 1` and inline otherwise (see
-/// [`for_each_range`] for the disjointness contract).
+/// [`for_each_part`] for the disjointness contract).
 pub fn for_each_chunk<F>(workers: usize, n: usize, body: F)
 where
     F: Fn(Range<usize>) + Sync,
@@ -203,7 +228,7 @@ where
         body(0..n);
         return;
     }
-    for_each_range(chunk_ranges(n, workers), body);
+    for_each_part(chunk_ranges(n, workers), body);
 }
 
 /// Map `task` over `0..n` and collect results in index order, running
@@ -339,6 +364,34 @@ mod tests {
                 }
             });
             assert!(hits.iter().all(|&h| h == 1), "w={w}");
+        }
+    }
+
+    #[test]
+    fn split_blocks_tile_the_buffer() {
+        // Row-major 5×3 matrix and a packed strict lower triangle of 5 rows,
+        // each split by the same row ranges.
+        let ranges = triangular_ranges(5, 2);
+        let mut dense: Vec<usize> = (0..15).collect();
+        let mut packed: Vec<usize> = (0..10).collect();
+        let dense_blocks = split_blocks(&mut dense, &ranges, |i| i * 3);
+        let packed_blocks = split_blocks(&mut packed, &ranges, |i| i * i.saturating_sub(1) / 2);
+        for ((d, r), (p, pr)) in dense_blocks.into_iter().zip(packed_blocks) {
+            assert_eq!(r, pr);
+            assert_eq!(d.to_vec(), (r.start * 3..r.end * 3).collect::<Vec<_>>());
+            let tri = |i: usize| i * i.saturating_sub(1) / 2;
+            assert_eq!(p.to_vec(), (tri(r.start)..tri(r.end)).collect::<Vec<_>>());
+        }
+        // Blocks fill on separate workers.
+        for w in [1, 2, 3] {
+            let mut v = vec![0usize; 12];
+            let parts = split_blocks(&mut v, &chunk_ranges(12, w), |i| i);
+            for_each_part(parts, |(block, r)| {
+                for (x, i) in block.iter_mut().zip(r) {
+                    *x = i * i;
+                }
+            });
+            assert_eq!(v, (0..12).map(|i| i * i).collect::<Vec<_>>(), "w={w}");
         }
     }
 

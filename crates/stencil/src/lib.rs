@@ -190,7 +190,9 @@ impl StencilApp {
     pub fn simulate(&self, cfg: &Config) -> (f64, f64, f64, f64) {
         let sp = &self.space;
         let a = &self.arch;
-        let g = |n: &str| sp.get_f64(cfg, n).unwrap();
+        // A configuration missing a parameter simulates as a failed (NaN)
+        // run, which the searches screen like any other failed evaluation.
+        let g = |n: &str| sp.get_f64(cfg, n).unwrap_or(f64::NAN);
         let (px, py) = (g("px").max(1.0), g("py").max(1.0));
         let (tx, ty, tz) = (g("tile_x"), g("tile_y"), g("tile_z"));
         let unroll = g("unroll");
@@ -320,7 +322,9 @@ impl Objective for StencilApp {
                 ("comm_overlap", 0.0),
                 ("reduce_every", 1.0),
             ])
-            .expect("default stencil config valid")
+            // Every name exists and every value lies in its domain by
+            // construction, so this cannot fail.
+            .unwrap_or_default()
     }
 }
 
