@@ -11,7 +11,9 @@
 //! Flags: `--reps N` (default 3), `--quick`.
 
 use cets_bench::{banner, mean_std, paper_bo, ExpArgs};
-use cets_core::{execute_plan, Acquisition, PlannedSearch, SearchPlan, SearchTarget};
+use cets_core::{
+    execute_plan, Acquisition, PlannedSearch, ResilienceConfig, SearchPlan, SearchTarget,
+};
 use cets_synthetic::{SyntheticCase, SyntheticFunction};
 
 fn main() {
@@ -46,7 +48,8 @@ fn main() {
                     budget,
                 }]],
             };
-            let exec = execute_plan(&f, &plan, &paper_bo(700 + rep as u64), false).expect("run");
+            let bo = paper_bo(700 + rep as u64);
+            let exec = execute_plan(&f, &plan, &bo, 1, &ResilienceConfig::default()).expect("run");
             minima.push(exec.final_value);
         }
         let (m, s) = mean_std(&minima);
@@ -86,7 +89,7 @@ fn main() {
             };
             let mut bo = paper_bo(800 + rep as u64);
             bo.acquisition = acq;
-            let exec = execute_plan(&f, &plan, &bo, false).expect("run");
+            let exec = execute_plan(&f, &plan, &bo, 1, &ResilienceConfig::default()).expect("run");
             minima.push(exec.final_value);
         }
         let (m, s) = mean_std(&minima);

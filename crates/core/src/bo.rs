@@ -174,7 +174,7 @@ pub struct SearchOutcome {
 }
 
 impl SearchOutcome {
-    fn from_history(
+    pub(crate) fn from_history(
         subspace: &Subspace,
         history: Vec<(Vec<f64>, f64)>,
         wall_time: Duration,

@@ -12,8 +12,7 @@ use cets_graph::{InfluenceGraph, Partition};
 use cets_linalg::{par, ParConfig};
 use cets_space::{Config, Subspace};
 use cets_stats::SensitivityScores;
-use parking_lot::Mutex;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// How strictly the built-in plan linter gates [`Methodology::run`].
@@ -149,7 +148,7 @@ pub struct MethodologyReport {
     pub plan: SearchPlan,
 }
 
-/// How one planned search ended under the fault-tolerant executor.
+/// How one planned search ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SearchDisposition {
     /// The search produced a usable outcome (possibly with failed
@@ -182,8 +181,8 @@ pub struct SearchLedgerEntry {
     pub disposition: SearchDisposition,
 }
 
-/// The failure ledger of a fault-tolerant plan execution: one entry per
-/// search, in execution order. Empty for legacy (non-resilient) runs.
+/// The failure ledger of a plan execution: one entry per search, in
+/// execution order, then one for the closing verification evaluation.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExecutionLedger {
     /// Per-search entries, in execution order.
@@ -214,8 +213,8 @@ impl ExecutionLedger {
 #[derive(Debug, Clone)]
 pub struct PlanExecution {
     /// Each search's outcome, in execution order, tagged by name.
-    /// Degraded searches (fault-tolerant executor only) are absent here
-    /// and present in [`PlanExecution::ledger`].
+    /// Degraded searches are absent here and present in
+    /// [`PlanExecution::ledger`].
     pub searches: Vec<(String, SearchOutcome)>,
     /// All searches' best values folded into one configuration.
     pub final_config: Config,
@@ -231,8 +230,8 @@ pub struct PlanExecution {
     /// transfer learning via [`Database::to_transfer_seed`]). Record order
     /// within a parallel stage is nondeterministic; contents are not.
     pub database: Database,
-    /// Per-search failure accounting ([`execute_plan_resilient`] only;
-    /// empty for the legacy executor).
+    /// Per-search failure accounting, filled by every execution: a clean
+    /// run lists each search as completed with no failures.
     pub ledger: ExecutionLedger,
 }
 
@@ -259,23 +258,20 @@ pub struct MethodologyConfig {
     pub bo: BoConfig,
     /// Budget rule: `evals_per_dim × dims` per search (paper: 10).
     pub evals_per_dim: usize,
-    /// Run independent searches of one stage in parallel threads.
-    pub parallel: bool,
-    /// Worker budget for the whole execution when [`Self::parallel`] is
-    /// on: stage searches share it, and each search's leftover goes to GP
-    /// training and candidate scoring (unless the [`Self::bo`] template
-    /// pins its own counts). Results are bit-identical at any budget.
+    /// Worker budget for the whole execution (`ParConfig::fixed(1)` is
+    /// sequential): stage searches share it, and each search's leftover
+    /// goes to GP training and candidate scoring (unless the [`Self::bo`]
+    /// template pins its own counts). Results are bit-identical at any
+    /// budget.
     pub par: ParConfig,
     /// How strictly the pre-execution linter gates [`Methodology::run`].
     pub lint: LintPolicy,
-    /// Fault tolerance. `None` (default) keeps the legacy fail-fast
-    /// executor: any panicking or non-finite evaluation aborts the run.
-    /// `Some(..)` routes execution through [`execute_plan_resilient`]:
-    /// evaluations are guarded (panic containment, non-finite screening,
-    /// watchdog, retries), failures are imputed into the BO loop, a search
-    /// that produces nothing is isolated instead of aborting the plan, and
+    /// Fault tolerance of [`execute_plan`]: evaluations are guarded
+    /// (panic containment, non-finite screening, watchdog, retries),
+    /// failures are imputed into the BO loop, a search that produces
+    /// nothing is isolated instead of aborting the plan, and
     /// [`PlanExecution::ledger`] reports the damage.
-    pub resilience: Option<ResilienceConfig>,
+    pub resilience: ResilienceConfig,
     /// Statically contract the search box before execution.
     ///
     /// When on, [`Methodology::run`] feeds the analysis result through
@@ -299,10 +295,9 @@ impl Default for MethodologyConfig {
             shared_params: vec![],
             bo: BoConfig::default(),
             evals_per_dim: 10,
-            parallel: true,
             par: ParConfig::default(),
             lint: LintPolicy::default(),
-            resilience: None,
+            resilience: ResilienceConfig::default(),
             contract_bounds: false,
         }
     }
@@ -623,28 +618,19 @@ impl Methodology {
         Ok(Some(builder.try_build()?))
     }
 
-    /// Execute a previously computed report's plan
-    /// (fault-tolerantly when [`MethodologyConfig::resilience`] is set).
+    /// Execute a previously computed report's plan with [`execute_plan`].
     pub fn execute<O: Objective + ?Sized>(
         &self,
         objective: &O,
         report: &MethodologyReport,
     ) -> Result<PlanExecution> {
-        let workers = if self.config.parallel {
-            self.config.par.resolve()
-        } else {
-            1
-        };
-        match &self.config.resilience {
-            Some(resilience) => execute_plan_resilient_with(
-                objective,
-                &report.plan,
-                &self.config.bo,
-                workers,
-                resilience,
-            ),
-            None => execute_plan_with(objective, &report.plan, &self.config.bo, workers),
-        }
+        execute_plan(
+            objective,
+            &report.plan,
+            &self.config.bo,
+            self.config.par.resolve(),
+            &self.config.resilience,
+        )
     }
 
     /// Full pipeline: analyze, **lint** (see [`MethodologyConfig::lint`]),
@@ -695,21 +681,6 @@ pub fn build_graph<O: Objective + ?Sized>(
     Ok(graph)
 }
 
-/// Execute an arbitrary [`SearchPlan`] against an objective: stages
-/// sequentially; within a stage, searches share a thread pool when
-/// `parallel`. After each stage, every search's best values are frozen
-/// into the shared defaults used by later stages, and all searches' best
-/// values are folded into the final configuration.
-pub fn execute_plan<O: Objective + ?Sized>(
-    objective: &O,
-    plan: &SearchPlan,
-    bo_template: &BoConfig,
-    parallel: bool,
-) -> Result<PlanExecution> {
-    let workers = if parallel { par::global_threads() } else { 1 };
-    execute_plan_with(objective, plan, bo_template, workers)
-}
-
 /// Split a stage's worker budget: up to `workers` concurrent searches,
 /// with each search's BO loop (GP training, candidate scoring) given the
 /// leftover `workers / used` — unless the template already pins explicit
@@ -758,7 +729,7 @@ impl StageSearch<'_> {
     }
 }
 
-/// Resolve a stage's searches for either executor: routine targets to
+/// Resolve a stage's searches for execution: routine targets to
 /// indices, and search `i` of stage `stage_idx` to the BO seed
 /// `seed + (stage_idx << 32) + i + 1`.
 fn prepare_stage<'p>(
@@ -794,104 +765,26 @@ fn prepare_stage<'p>(
         .collect()
 }
 
-/// [`execute_plan`] with an explicit worker budget (`1` = fully
-/// sequential; results are bit-identical at any budget).
-pub fn execute_plan_with<O: Objective + ?Sized>(
-    objective: &O,
-    plan: &SearchPlan,
-    bo_template: &BoConfig,
-    workers: usize,
-) -> Result<PlanExecution> {
-    let start = Instant::now();
-    let space = objective.space();
-    let routine_names = objective.routine_names();
-    let mut current = objective.default_config();
-    let mut all: Vec<(String, SearchOutcome)> = Vec::new();
-    let db = Mutex::new(Database::for_objective("plan-execution", objective));
-
-    for (stage_idx, stage) in plan.stages.iter().enumerate() {
-        let prepared = prepare_stage(stage, stage_idx, &routine_names, bo_template.seed)?;
-
-        let (used, bo_stage) = stage_budget(bo_template, workers, prepared.len());
-        let run_one = |p: &StageSearch| -> Result<SearchOutcome> {
-            let s = p.search;
-            let names: Vec<&str> = s.params.iter().map(|p| p.as_str()).collect();
-            let subspace = Subspace::new(space, &names, current.clone())?;
-            let f = |cfg: &Config| -> f64 {
-                let obs = objective.evaluate(cfg);
-                db.lock().push(cfg.clone(), &obs, s.name.clone());
-                p.target(&obs)
-            };
-            // Seed with the incumbent defaults: the tuner always knows the
-            // current configuration's cost, so the search can never report
-            // a best worse than what it started from (costs 1 evaluation
-            // of the budget, like any other observation).
-            let u0 = subspace.project(&current)?;
-            let y0 = f(&subspace.lift(&u0)?);
-            BoSearch::new(p.bo_config(&bo_stage)).run_with_history(&subspace, f, vec![(u0, y0)])
-        };
-
-        // Fixed chunks + index-ordered results: the fold below visits
-        // searches in plan order regardless of the worker count.
-        let outcomes: Vec<Result<SearchOutcome>> =
-            par::map_indexed(used, prepared.len(), |idx| run_one(&prepared[idx]));
-
-        for (StageSearch { search: s, .. }, outcome) in prepared.iter().zip(outcomes) {
-            let outcome = outcome?;
-            // Freeze this search's best values into the running defaults.
-            for p in &s.params {
-                let idx = space.index_of(p)?;
-                current[idx] = outcome.best_config[idx].clone();
-            }
-            all.push((s.name.clone(), outcome));
-        }
-        space.check_valid(&current).map_err(|e| {
-            CoreError::SearchStalled(format!(
-                "folded configuration invalid after stage {stage_idx}: {e}"
-            ))
-        })?;
-    }
-
-    let final_obs = objective.evaluate(&current);
-    let final_value = final_obs.total;
-    let mut database = db.into_inner();
-    database.push(current.clone(), &final_obs, "final");
-    Ok(PlanExecution {
-        total_evals: all.iter().map(|(_, o)| o.n_evals).sum(),
-        searches: all,
-        final_config: current,
-        final_value,
-        wall_time: start.elapsed(),
-        database,
-        ledger: ExecutionLedger::default(),
-    })
-}
-
-/// Fault-tolerant variant of [`execute_plan`]: every evaluation runs
-/// through a per-search [`ResilientObjective`] (panic containment,
-/// non-finite screening, watchdog, retries), the BO loops are
-/// failure-aware ([`BoSearch::run_resilient_with_records`]), and a search
-/// that produces **no** usable outcome — all attempts failed, failure cap
-/// hit, or its infrastructure errored — is *isolated*: its parameters stay
-/// at the stage's entry defaults, the remaining searches proceed, and the
-/// [`ExecutionLedger`] records what happened. The run aborts only when
-/// nothing succeeded anywhere (there is no configuration to report) or the
-/// folded configuration violates a cross-search constraint (the result
-/// would be wrong, not merely partial).
-pub fn execute_plan_resilient<O: Objective + ?Sized>(
-    objective: &O,
-    plan: &SearchPlan,
-    bo_template: &BoConfig,
-    parallel: bool,
-    resilience: &ResilienceConfig,
-) -> Result<PlanExecution> {
-    let workers = if parallel { par::global_threads() } else { 1 };
-    execute_plan_resilient_with(objective, plan, bo_template, workers, resilience)
-}
-
-/// [`execute_plan_resilient`] with an explicit worker budget (`1` = fully
-/// sequential; results are bit-identical at any budget).
-pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
+/// Execute an arbitrary [`SearchPlan`] against an objective: stages run
+/// sequentially; within a stage, searches share `workers` threads (`1` =
+/// fully sequential; results are bit-identical at any budget). After each
+/// stage, every search's best values are frozen into the shared defaults
+/// used by later stages, and all searches' best values are folded into the
+/// final configuration.
+///
+/// Every evaluation runs through a per-search [`ResilientObjective`]
+/// (panic containment, non-finite screening, watchdog, retries) and the BO
+/// loops are failure-aware ([`BoSearch::run_resilient_with_records`]). A
+/// search that produces **no** usable outcome — all attempts failed,
+/// failure cap hit, or its infrastructure errored — is *isolated*: its
+/// parameters stay at the stage's entry defaults, the remaining searches
+/// proceed, and the [`ExecutionLedger`] records what happened. The run
+/// aborts only when searches degraded and none completed (there is no
+/// tuned configuration to report; the first degraded search's error is
+/// returned) or the folded configuration violates a cross-search
+/// constraint (the result would be wrong, not merely partial). A plan
+/// without searches evaluates the defaults.
+pub fn execute_plan<O: Objective + ?Sized>(
     objective: &O,
     plan: &SearchPlan,
     bo_template: &BoConfig,
@@ -904,19 +797,18 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
     let mut current = objective.default_config();
     let mut all: Vec<(String, SearchOutcome)> = Vec::new();
     let mut ledger = ExecutionLedger::default();
+    let mut first_error = None;
+    // A poisoned lock still guards a valid database: the only update made
+    // under it is one `push`.
     let db = Mutex::new(Database::for_objective("plan-execution", objective));
 
     for (stage_idx, stage) in plan.stages.iter().enumerate() {
         let prepared = prepare_stage(stage, stage_idx, &routine_names, bo_template.seed)?;
 
-        // One search under full protection. Returns the ledger entry along
-        // with the outcome (or the degradation reason).
+        // One search under full protection: its ledger entry, and its
+        // outcome unless it degraded.
         let (used, bo_stage) = stage_budget(bo_template, workers, prepared.len());
-        let run_one = |p: &StageSearch| -> (
-            std::result::Result<crate::bo::ResilientOutcome, String>,
-            usize, // attempts (only meaningful on the error side)
-            usize, // failed attempts (ditto)
-        ) {
+        let run_one = |p: &StageSearch| -> (SearchLedgerEntry, Result<SearchOutcome>) {
             let guarded = ResilientObjective::new(
                 objective,
                 resilience.guard.clone(),
@@ -927,7 +819,11 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
                 let f = |cfg: &Config, eval_idx: usize| -> EvalOutcome {
                     match guarded.evaluate_outcome(cfg, eval_idx) {
                         EvalOutcome::Ok(mut obs) => {
-                            db.lock().push(cfg.clone(), &obs, s.name.clone());
+                            db.lock().unwrap_or_else(PoisonError::into_inner).push(
+                                cfg.clone(),
+                                &obs,
+                                s.name.clone(),
+                            );
                             // The BO loop minimizes `total`: the search's
                             // target (routines already screened finite).
                             obs.total = p.target(&obs);
@@ -936,9 +832,11 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
                         failed => failed,
                     }
                 };
-                // Seed with the incumbent defaults, exactly like the legacy
-                // executor — but a failing incumbent evaluation is a
-                // recorded failure, not an abort.
+                // Seed with the incumbent defaults: the tuner always knows
+                // the current configuration's cost, so the search can never
+                // report a best worse than what it started from (costs 1
+                // evaluation of the budget, like any other observation). A
+                // failing incumbent evaluation is a recorded failure.
                 let u0 = sub.project(&current)?;
                 let outcome0 = f(&sub.lift(&u0)?, 0);
                 let rec0 = EvalRecord::from_outcome(u0, outcome0);
@@ -952,60 +850,60 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
             let names: Vec<&str> = s.params.iter().map(|p| p.as_str()).collect();
             let result = Subspace::new(space, &names, current.clone())
                 .map_err(CoreError::from)
-                .and_then(|sub| attempt(&sub))
-                .map_err(|e| e.to_string());
-            (result, guarded.attempts(), guarded.failed_attempts())
-        };
-
-        type OneResult = (
-            std::result::Result<crate::bo::ResilientOutcome, String>,
-            usize,
-            usize,
-        );
-        // Fixed chunks + index-ordered results: the ledger fold below
-        // visits searches in plan order regardless of the worker count.
-        let outcomes: Vec<OneResult> =
-            par::map_indexed(used, prepared.len(), |idx| run_one(&prepared[idx]));
-
-        for (StageSearch { search: s, .. }, (result, attempts, failed_attempts)) in
-            prepared.iter().zip(outcomes)
-        {
+                .and_then(|sub| attempt(&sub));
+            let entry = |n_ok, n_failed, budget_spent, disposition| SearchLedgerEntry {
+                search: s.name.clone(),
+                stage: stage_idx,
+                n_ok,
+                n_failed,
+                budget_spent,
+                disposition,
+            };
             match result {
-                Ok(r) => {
-                    // Freeze this search's best values into the running
-                    // defaults.
-                    for p in &s.params {
-                        let idx = space.index_of(p)?;
-                        current[idx] = r.outcome.best_config[idx].clone();
-                    }
-                    ledger.entries.push(SearchLedgerEntry {
-                        search: s.name.clone(),
-                        stage: stage_idx,
-                        n_ok: r.records.len() - r.n_failed,
-                        n_failed: r.n_failed,
-                        budget_spent: r.budget_spent,
-                        disposition: SearchDisposition::Completed,
-                    });
-                    all.push((s.name.clone(), r.outcome));
-                }
-                Err(reason) => {
-                    // Isolate: this search contributes nothing; its
-                    // parameters stay at the stage's entry defaults.
-                    ledger.entries.push(SearchLedgerEntry {
-                        search: s.name.clone(),
-                        stage: stage_idx,
-                        n_ok: attempts - failed_attempts,
-                        n_failed: failed_attempts,
-                        budget_spent: resilience.failure.budget_fraction * failed_attempts as f64
-                            + (attempts - failed_attempts) as f64,
-                        disposition: SearchDisposition::Degraded(reason),
-                    });
+                Ok(r) => (
+                    entry(
+                        r.records.len() - r.n_failed,
+                        r.n_failed,
+                        r.budget_spent,
+                        SearchDisposition::Completed,
+                    ),
+                    Ok(r.outcome),
+                ),
+                // No record history survives a failed search: count its
+                // attempts instead.
+                Err(e) => {
+                    let failed = guarded.failed_attempts();
+                    let ok = guarded.attempts() - failed;
+                    let spent = resilience.failure.budget_fraction * failed as f64 + ok as f64;
+                    let reason = SearchDisposition::Degraded(e.to_string());
+                    (entry(ok, failed, spent, reason), Err(e))
                 }
             }
+        };
+
+        // Fixed chunks + index-ordered results: the fold below visits
+        // searches in plan order regardless of the worker count.
+        let outcomes = par::map_indexed(used, prepared.len(), |idx| run_one(&prepared[idx]));
+        for (p, (entry, outcome)) in prepared.iter().zip(outcomes) {
+            // A degraded search contributes nothing: its parameters stay at
+            // the stage's entry defaults. A completed one's best values are
+            // frozen into the running defaults.
+            match outcome {
+                Ok(outcome) => {
+                    for name in &p.search.params {
+                        let idx = space.index_of(name)?;
+                        current[idx] = outcome.best_config[idx].clone();
+                    }
+                    all.push((p.search.name.clone(), outcome));
+                }
+                Err(e) => {
+                    first_error.get_or_insert(e);
+                }
+            }
+            ledger.entries.push(entry);
         }
         // A folded configuration that violates a cross-search constraint is
-        // wrong, not partial: still a hard error (same contract as the
-        // legacy executor).
+        // wrong, not partial: a hard error.
         space.check_valid(&current).map_err(|e| {
             CoreError::SearchStalled(format!(
                 "folded configuration invalid after stage {stage_idx}: {e}"
@@ -1013,12 +911,9 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
         })?;
     }
 
-    if all.is_empty() {
-        return Err(CoreError::SearchStalled(format!(
-            "every search in the plan degraded ({} entries in the ledger); \
-             no configuration to report",
-            ledger.entries.len()
-        )));
+    // Searches degraded and none completed: nothing tuned to report.
+    if let Some(e) = first_error.filter(|_| all.is_empty()) {
+        return Err(e);
     }
 
     // Final verification evaluation, itself guarded: if it fails, fall back
@@ -1030,7 +925,7 @@ pub fn execute_plan_resilient_with<O: Objective + ?Sized>(
         Arc::clone(&resilience.clock),
     );
     let n_stages = plan.stages.len();
-    let mut database = db.into_inner();
+    let mut database = db.into_inner().unwrap_or_else(PoisonError::into_inner);
     let (final_config, final_value) = match guarded.evaluate_outcome(&current, 0) {
         EvalOutcome::Ok(obs) => {
             let v = obs.total;
@@ -1214,17 +1109,17 @@ mod tests {
     #[test]
     fn parallel_and_sequential_agree() {
         let obj = SplitSphere::new();
-        let mk = |parallel| {
+        let mk = |par| {
             let m = Methodology::new(MethodologyConfig {
                 bo: quick_bo(),
                 evals_per_dim: 6,
-                parallel,
+                par,
                 ..Default::default()
             });
             m.run(&obj, &owners3(), &obj.default_config()).unwrap().1
         };
-        let seq = mk(false);
-        let par = mk(true);
+        let seq = mk(ParConfig::fixed(1));
+        let par = mk(ParConfig::default());
         assert_eq!(seq.final_value, par.final_value);
         assert_eq!(seq.final_config, par.final_config);
     }
@@ -1324,7 +1219,8 @@ mod tests {
                 },
             ]],
         };
-        let err = execute_plan(&obj, &plan, &quick_bo(), true).unwrap_err();
+        let err =
+            execute_plan(&obj, &plan, &quick_bo(), 2, &ResilienceConfig::default()).unwrap_err();
         assert!(
             matches!(err, CoreError::SearchStalled(_)),
             "expected SearchStalled, got {err}"
@@ -1333,7 +1229,7 @@ mod tests {
 
     mod resilient {
         use super::*;
-        use crate::resilience::{GuardPolicy, ResilienceConfig, RetryPolicy, VirtualClock};
+        use crate::resilience::{GuardPolicy, RetryPolicy, VirtualClock};
         use cets_space::SearchSpace;
 
         fn quiet_panics() {
@@ -1426,7 +1322,7 @@ mod tests {
             let m = Methodology::new(MethodologyConfig {
                 bo: quick_bo(),
                 evals_per_dim: 8,
-                resilience: Some(quick_resilience()),
+                resilience: quick_resilience(),
                 ..Default::default()
             });
             let (_, exec) = m.run(&obj, &owners3(), &obj.default_config()).unwrap();
@@ -1457,15 +1353,9 @@ mod tests {
             let obj = PanicOn::new(|a, b, _| a == 1.0 && b == 1.0);
             // Runs the plan, checks what every seed must show, and returns
             // the folded r0 = x0² + x1² (the default gives 2.0).
-            let run = |bo: &BoConfig, parallel: bool| {
-                let exec = execute_plan_resilient(
-                    &obj,
-                    &two_search_plan(),
-                    bo,
-                    parallel,
-                    &quick_resilience(),
-                )
-                .unwrap();
+            let run = |bo: &BoConfig, workers: usize| {
+                let exec = execute_plan(&obj, &two_search_plan(), bo, workers, &quick_resilience())
+                    .unwrap();
                 assert_eq!(exec.ledger.n_degraded(), 1, "ledger: {:?}", exec.ledger);
                 let by_name = |n: &str| {
                     exec.ledger
@@ -1494,8 +1384,8 @@ mod tests {
                 assert_eq!(exec.final_config[1], best[1]);
                 exec.final_config[0].as_f64().powi(2) + exec.final_config[1].as_f64().powi(2)
             };
-            for parallel in [false, true] {
-                assert!(run(&quick_bo(), parallel).is_finite());
+            for workers in [1, 2] {
+                assert!(run(&quick_bo(), workers).is_finite());
             }
             // Whether an 11-evaluation search beats the default depends on
             // the seed, so improvement is checked over a fixed seed set:
@@ -1504,7 +1394,7 @@ mod tests {
             let n_seeds = 40;
             let (mut improved, mut sum_r0) = (0, 0.0);
             for seed in 0..n_seeds {
-                let r0 = run(&BoConfig { seed, ..quick_bo() }, false);
+                let r0 = run(&BoConfig { seed, ..quick_bo() }, 1);
                 improved += usize::from(r0 < 2.0);
                 sum_r0 += r0;
             }
@@ -1542,8 +1432,7 @@ mod tests {
                     },
                 ]],
             };
-            let exec = execute_plan_resilient(&obj, &plan, &quick_bo(), false, &quick_resilience())
-                .unwrap();
+            let exec = execute_plan(&obj, &plan, &quick_bo(), 1, &quick_resilience()).unwrap();
             let last = exec.ledger.entries.last().unwrap();
             assert_eq!(last.search, "final");
             assert!(matches!(last.disposition, SearchDisposition::Degraded(_)));
@@ -1559,11 +1448,11 @@ mod tests {
         fn all_searches_failing_is_a_hard_error() {
             quiet_panics();
             let obj = PanicOn::new(|_, _, _| true);
-            let err = execute_plan_resilient(
+            let err = execute_plan(
                 &obj,
                 &two_search_plan(),
                 &quick_bo(),
-                false,
+                1,
                 &quick_resilience(),
             )
             .unwrap_err();
@@ -1827,6 +1716,29 @@ mod tests {
         assert!(m.run(&obj, &owners3(), &obj.default_config()).is_ok());
     }
 
+    /// A plan without searches (every parameter capped away) has nothing
+    /// to degrade: it evaluates the defaults instead of failing.
+    #[test]
+    fn empty_plan_evaluates_the_defaults() {
+        let obj = SplitSphere::new();
+        let m = Methodology::new(MethodologyConfig {
+            max_dims: 0,
+            lint: LintPolicy::Off,
+            bo: quick_bo(),
+            ..Default::default()
+        });
+        let (report, exec) = m.run(&obj, &owners3(), &obj.default_config()).unwrap();
+        assert_eq!(report.plan.searches().count(), 0);
+        assert!(exec.searches.is_empty());
+        assert_eq!(exec.total_evals, 0);
+        assert_eq!(exec.final_config, obj.default_config());
+        assert_eq!(exec.final_value, obj.evaluate(&obj.default_config()).total);
+        assert_eq!(exec.database.len(), 1);
+        // Only the closing verification evaluation is in the ledger.
+        assert_eq!(exec.ledger.entries.len(), 1);
+        assert!(exec.ledger.is_clean(), "ledger: {:?}", exec.ledger);
+    }
+
     #[test]
     fn lint_gate_deny_warnings_rejects_warning_plan() {
         // A zero GP noise floor is N001 at Warning level: passes the
@@ -1893,6 +1805,6 @@ mod tests {
                 budget: 5,
             }]],
         };
-        assert!(execute_plan(&obj, &plan, &quick_bo(), false).is_err());
+        assert!(execute_plan(&obj, &plan, &quick_bo(), 1, &ResilienceConfig::default()).is_err());
     }
 }

@@ -3,8 +3,8 @@
 use crate::bo::SearchOutcome;
 use crate::objective::Objective;
 use crate::{CoreError, Result};
+use cets_linalg::par;
 use cets_space::Subspace;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::time::Instant;
@@ -51,69 +51,20 @@ pub fn random_search<O: Objective + ?Sized>(
     // (identical to a plain `Sampler` otherwise).
     let sampler = crate::contraction::contraction_aware_sampler(space);
 
-    let threads = cfg.threads.max(1).min(cfg.n_evals);
-    let mut results: Vec<Option<(Vec<f64>, f64)>> = vec![None; cfg.n_evals];
-    let chunk = cfg.n_evals.div_ceil(threads);
-    let errors: Mutex<Vec<CoreError>> = Mutex::new(Vec::new());
-
-    std::thread::scope(|s| {
-        for (ci, slot_chunk) in results.chunks_mut(chunk).enumerate() {
-            let base = ci * chunk;
-            let sampler = &sampler;
-            let subspace = &subspace;
-            let errors = &errors;
-            s.spawn(move || {
-                for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                    let i = base + off;
-                    let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
-                    // Constructive sampler first (see Objective docs), then
-                    // blind rejection.
-                    let drawn = match objective.sample_valid(&mut rng) {
-                        Some(c) => Ok(c),
-                        None => sampler.uniform(&mut rng).map_err(CoreError::Space),
-                    };
-                    let projected = drawn.and_then(|config| {
-                        let y = objective.evaluate(&config).total;
-                        let u = subspace.project(&config)?;
-                        Ok((u, y))
-                    });
-                    match projected {
-                        Ok(pair) => *slot = Some(pair),
-                        Err(e) => errors.lock().push(e),
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = errors.into_inner().into_iter().next() {
-        return Err(e);
-    }
-    let history: Vec<(Vec<f64>, f64)> = results.into_iter().flatten().collect();
-    if history.len() != cfg.n_evals {
-        return Err(CoreError::SearchStalled(
-            "random search lost evaluations".into(),
-        ));
-    }
-
-    let mut best = f64::INFINITY;
-    let mut best_idx = 0;
-    let mut trace = Vec::with_capacity(history.len());
-    for (i, (_, y)) in history.iter().enumerate() {
-        if *y < best {
-            best = *y;
-            best_idx = i;
-        }
-        trace.push(best);
-    }
-    Ok(SearchOutcome {
-        best_config: subspace.lift(&history[best_idx].0)?,
-        best_value: best,
-        n_evals: history.len(),
-        incumbent_trace: trace,
-        history,
-        wall_time: start.elapsed(),
+    let history = par::map_indexed(cfg.threads, cfg.n_evals, |i| -> Result<(Vec<f64>, f64)> {
+        let mut rng = StdRng::seed_from_u64(cfg.seed.wrapping_add(i as u64));
+        // Constructive sampler first (see Objective docs), then blind
+        // rejection.
+        let config = match objective.sample_valid(&mut rng) {
+            Some(c) => c,
+            None => sampler.uniform(&mut rng)?,
+        };
+        let y = objective.evaluate(&config).total;
+        Ok((subspace.project(&config)?, y))
     })
+    .into_iter()
+    .collect::<Result<Vec<_>>>()?;
+    SearchOutcome::from_history(&subspace, history, start.elapsed())
 }
 
 #[cfg(test)]

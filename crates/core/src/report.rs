@@ -121,9 +121,9 @@ pub fn render_markdown<O: Objective + ?Sized>(
             exec.final_value, exec.total_evals, exec.wall_time
         );
 
-        // Failure ledger (resilient executions only). A clean resilient run
-        // still lists its per-search entries — "nothing failed" is evidence
-        // worth recording, not an absence of information.
+        // Failure ledger. A clean run still lists its per-search entries —
+        // "nothing failed" is evidence worth recording, not an absence of
+        // information.
         if !exec.ledger.entries.is_empty() {
             let _ = writeln!(md, "### Failure ledger\n");
             let _ = writeln!(
@@ -201,8 +201,13 @@ mod tests {
         ] {
             assert!(md.contains(needle), "missing section: {needle}\n{md}");
         }
-        // The legacy executor keeps no ledger; the section is omitted.
-        assert!(!md.contains("Failure ledger"));
+        // Every execution keeps a ledger; this fault-free one is clean.
+        assert!(md.contains("### Failure ledger"), "{md}");
+        let n = exec.ledger.entries.len();
+        assert!(
+            md.contains(&format!("0 of {n} searches degraded")),
+            "clean run: zero degraded\n{md}"
+        );
     }
 
     #[test]
@@ -236,7 +241,6 @@ mod tests {
     #[test]
     fn resilient_run_report_includes_failure_ledger() {
         use crate::objective::test_objectives::SplitSphere;
-        use crate::resilience::ResilienceConfig;
         let obj = SplitSphere::new();
         let m = Methodology::new(MethodologyConfig {
             variation_policy: VariationPolicy::Spread { count: 4 },
@@ -248,7 +252,6 @@ mod tests {
                 ..Default::default()
             },
             evals_per_dim: 4,
-            resilience: Some(ResilienceConfig::default()),
             ..Default::default()
         });
         let owners = [("x0", "r0"), ("x1", "r0"), ("x2", "r1")];

@@ -28,10 +28,9 @@
 
 use crate::objective::{Objective, Observation};
 use cets_space::Config;
-use parking_lot::Mutex;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 // ---------------------------------------------------------------------------
@@ -84,6 +83,8 @@ impl Clock for SystemClock {
 /// Deterministic test clock: `sleep` advances time instantly.
 #[derive(Debug, Default)]
 pub struct VirtualClock {
+    /// A poisoned lock still holds a valid time: an overflowing advance
+    /// panics before it stores anything.
     t: Mutex<Duration>,
 }
 
@@ -95,14 +96,13 @@ impl VirtualClock {
 
     /// Advance time without sleeping (alias of [`Clock::sleep`]).
     pub fn advance(&self, d: Duration) {
-        let mut t = self.t.lock();
-        *t += d;
+        *self.t.lock().unwrap_or_else(PoisonError::into_inner) += d;
     }
 }
 
 impl Clock for VirtualClock {
     fn now(&self) -> Duration {
-        *self.t.lock()
+        *self.t.lock().unwrap_or_else(PoisonError::into_inner)
     }
     fn sleep(&self, d: Duration) {
         self.advance(d);
@@ -610,10 +610,9 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// protection ([`GuardPolicy`]), failure-aware BO accounting
 /// ([`crate::FailurePolicy`]), and the clock everything times against.
 ///
-/// `None` in [`crate::MethodologyConfig::resilience`] keeps the legacy
-/// fail-fast behaviour; `Some(..)` switches
-/// [`crate::Methodology::execute`] to the fault-tolerant executor with
-/// per-search isolation and a failure ledger.
+/// [`crate::execute_plan`] runs every methodology execution under one.
+/// The default contains panics, screens non-finite results, retries a
+/// transient failure twice and runs no watchdog.
 #[derive(Clone)]
 pub struct ResilienceConfig {
     /// Per-evaluation protection (panic containment, watchdog, retries).

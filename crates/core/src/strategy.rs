@@ -5,6 +5,7 @@ use crate::bo::BoConfig;
 use crate::methodology::{execute_plan, PlanExecution, PlannedSearch, SearchPlan, SearchTarget};
 use crate::objective::{CountingObjective, Objective};
 use crate::random_search::{random_search, RandomSearchConfig};
+use crate::resilience::ResilienceConfig;
 use crate::{CoreError, Result};
 use std::collections::BTreeMap;
 use std::time::Instant;
@@ -103,7 +104,13 @@ pub fn run_strategy<O: Objective + ?Sized>(
                     target: SearchTarget::Total,
                 }]],
             };
-            let exec = execute_plan(&counted, &plan, bo_template, false)?;
+            let exec = execute_plan(
+                &counted,
+                &plan,
+                bo_template,
+                1,
+                &ResilienceConfig::default(),
+            )?;
             (exec.final_config, exec.final_value)
         }
         Strategy::FullyIndependent => {
@@ -164,7 +171,8 @@ fn run_grouped<O: Objective + ?Sized>(
             stages: vec![stage],
         },
         bo_template,
-        true,
+        cets_linalg::par::global_threads(),
+        &ResilienceConfig::default(),
     )
 }
 

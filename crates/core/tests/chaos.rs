@@ -9,11 +9,11 @@
 //! sequential so the clock observations attribute to the right evaluation.
 
 use cets_core::{
-    execute_plan_resilient, BoConfig, EvalError, FailurePolicy, FaultKind, FaultPlan,
-    FaultyObjective, GuardPolicy, Methodology, MethodologyConfig, Objective, PlannedSearch,
-    ResilienceConfig, ResilientObjective, RetryPolicy, SearchDisposition, SearchPlan, SearchTarget,
-    VirtualClock,
+    execute_plan, BoConfig, EvalError, FailurePolicy, FaultKind, FaultPlan, FaultyObjective,
+    GuardPolicy, Methodology, MethodologyConfig, Objective, PlannedSearch, ResilienceConfig,
+    ResilientObjective, RetryPolicy, SearchDisposition, SearchPlan, SearchTarget, VirtualClock,
 };
+use cets_linalg::ParConfig;
 use cets_space::{Config, ParamValue, SearchSpace};
 use std::sync::Arc;
 use std::time::Duration;
@@ -107,14 +107,14 @@ fn methodology_completes_under_twenty_percent_mixed_faults() {
         Methodology::new(MethodologyConfig {
             bo: quick_bo(7),
             evals_per_dim: 10,
-            parallel: false,
+            par: ParConfig::fixed(1),
             resilience,
             ..Default::default()
         })
     };
     // Analysis on the clean objective (the plan must exist either way),
     // then execution once clean and once under chaos.
-    let clean_m = m(Some(ResilienceConfig::default()));
+    let clean_m = m(ResilienceConfig::default());
     let report = clean_m
         .analyze(&obj, &owners(), &obj.default_config())
         .unwrap();
@@ -122,7 +122,7 @@ fn methodology_completes_under_twenty_percent_mixed_faults() {
 
     let clock = Arc::new(VirtualClock::new());
     let faulty = FaultyObjective::new(&obj, FaultPlan::flaky(0.2, 99), clock.clone());
-    let chaotic = m(Some(chaos_resilience(clock.clone())))
+    let chaotic = m(chaos_resilience(clock.clone()))
         .execute(&faulty, &report)
         .unwrap();
 
@@ -195,11 +195,11 @@ fn region_fault_degrades_only_the_searches_inside_it() {
         };
         let clock = Arc::new(VirtualClock::new());
         let faulty = FaultyObjective::new(&obj, plan, clock.clone());
-        let exec = execute_plan_resilient(
+        let exec = execute_plan(
             &faulty,
             &search_plan,
             &quick_bo(seed),
-            false,
+            1,
             &chaos_resilience(clock),
         )
         .unwrap();
@@ -293,11 +293,11 @@ fn chaotic_execution_is_deterministic() {
     let run = || {
         let clock = Arc::new(VirtualClock::new());
         let faulty = FaultyObjective::new(&obj, FaultPlan::flaky(0.25, 11), clock.clone());
-        execute_plan_resilient(
+        execute_plan(
             &faulty,
             &search_plan,
             &quick_bo(5),
-            false,
+            1,
             &chaos_resilience(clock),
         )
         .unwrap()

@@ -15,7 +15,7 @@
 //! coarse-grained, embarrassingly parallel, the Rayon-style sweet spot).
 
 use crate::{Result, StatsError};
-use cets_linalg::vecops;
+use cets_linalg::{par, vecops};
 use rand::rngs::StdRng;
 use rand::{Rng, RngExt, SeedableRng};
 
@@ -137,32 +137,9 @@ impl RandomForest {
             return Err(StatsError::NotEnoughData { needed: 1, got: 0 });
         }
 
-        let threads = cfg.threads.max(1).min(cfg.n_trees);
-        let mut trees: Vec<Option<Tree>> = vec![None; cfg.n_trees];
-        if threads == 1 {
-            for (t, slot) in trees.iter_mut().enumerate() {
-                *slot = Some(grow_tree(x, y, cfg, t as u64));
-            }
-        } else {
-            // One worker per chunk of trees; each tree is seeded by its
-            // global index so threading never changes results.
-            let chunk = cfg.n_trees.div_ceil(threads);
-            crossbeam::thread::scope(|s| {
-                for (ci, slot_chunk) in trees.chunks_mut(chunk).enumerate() {
-                    let base = ci * chunk;
-                    s.spawn(move |_| {
-                        for (off, slot) in slot_chunk.iter_mut().enumerate() {
-                            *slot = Some(grow_tree(x, y, cfg, (base + off) as u64));
-                        }
-                    });
-                }
-            })
-            .map_err(|_| StatsError::Worker("forest worker panicked".into()))?;
-        }
-        let trees: Vec<Tree> = trees
-            .into_iter()
-            .map(|t| t.ok_or_else(|| StatsError::Worker("tree slot left unfilled".into())))
-            .collect::<Result<_>>()?;
+        // Each tree is seeded by its index, so threading never changes
+        // results.
+        let trees = par::map_indexed(cfg.threads, cfg.n_trees, |t| grow_tree(x, y, cfg, t as u64));
 
         // Impurity importances: average over trees, normalize to sum 1.
         let mut importances = vec![0.0; d];

@@ -41,8 +41,6 @@ pub enum StatsError {
     NotEnoughData { needed: usize, got: usize },
     /// A numeric degenerate case (zero variance, zero baseline...).
     Degenerate(String),
-    /// A parallel worker died (panic in a scoped thread).
-    Worker(String),
 }
 
 impl std::fmt::Display for StatsError {
@@ -53,7 +51,6 @@ impl std::fmt::Display for StatsError {
                 write!(f, "not enough data: needed {needed}, got {got}")
             }
             StatsError::Degenerate(m) => write!(f, "degenerate input: {m}"),
-            StatsError::Worker(m) => write!(f, "worker failure: {m}"),
         }
     }
 }

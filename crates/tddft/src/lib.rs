@@ -256,28 +256,46 @@ impl TddftSimulator {
         b.build()
     }
 
-    /// Decode the kernel parameters of `k` from a config.
-    pub fn kernel_params(&self, cfg: &Config, k: KernelId) -> KernelParams {
+    /// Decode the kernel parameters of `k` from a config (`None` when the
+    /// config lacks one of them).
+    pub fn kernel_params(&self, cfg: &Config, k: KernelId) -> Option<KernelParams> {
         let s = k.short();
-        KernelParams {
-            unroll: self.space.get_f64(cfg, &format!("u_{s}")).unwrap() as u32,
-            tb: self.space.get_f64(cfg, &format!("tb_{s}")).unwrap() as u32,
-            tb_sm: self.space.get_i64(cfg, &format!("tb_sm_{s}")).unwrap() as u32,
-        }
+        let sp = &self.space;
+        Some(KernelParams {
+            unroll: sp.get_f64(cfg, &format!("u_{s}")).ok()? as u32,
+            tb: sp.get_f64(cfg, &format!("tb_{s}")).ok()? as u32,
+            tb_sm: sp.get_i64(cfg, &format!("tb_sm_{s}")).ok()? as u32,
+        })
     }
 
     /// Deterministic simulation of one configuration, returning
     /// `(g1, g2, g3, slater, total)` in seconds — `g1..g3` are mean
     /// per-invocation group times, `slater` the per-rank region time,
     /// `total` the application time including MPI communication.
+    ///
+    /// A configuration missing a parameter simulates as a failed run: the
+    /// total (and every time the parameter feeds) is NaN, which the
+    /// searches screen like any other failed evaluation.
     pub fn simulate(&self, cfg: &Config) -> SimBreakdown {
         let sp = &self.space;
         let gpu = &self.gpu;
-        let nstb = sp.get_i64(cfg, "nstb").unwrap().max(1) as usize;
-        let nkpb = sp.get_i64(cfg, "nkpb").unwrap().max(1) as usize;
-        let nspb = sp.get_i64(cfg, "nspb").unwrap().max(1) as usize;
-        let nbatches = sp.get_i64(cfg, "nbatches").unwrap().max(1) as usize;
-        let nstreams = sp.get_i64(cfg, "nstreams").unwrap().max(1) as usize;
+        let count = |name: &str| sp.get_i64(cfg, name).map(|v| v.max(1) as usize);
+        let (Ok(nstb), Ok(nkpb), Ok(nspb), Ok(nbatches), Ok(nstreams)) = (
+            count("nstb"),
+            count("nkpb"),
+            count("nspb"),
+            count("nbatches"),
+            count("nstreams"),
+        ) else {
+            let nan = f64::NAN;
+            return SimBreakdown {
+                g1: nan,
+                g2: nan,
+                g3: nan,
+                slater: nan,
+                total: nan,
+            };
+        };
 
         // ---- MPI decomposition: ceil-split => max local counts drive time.
         let local_bands = self.case.nbands.div_ceil(nstb);
@@ -287,16 +305,18 @@ impl TddftSimulator {
 
         // ---- Per-kernel per-invocation costs for a full batch.
         let n = self.case.fft_size;
-        let pair = self.kernel_params(cfg, KernelId::Pairwise);
         // Group 2's L2 interference on Group 3 (the paper's cache effect):
         // the pairwise kernel's resident working set scales with its active
         // threads per SM; what it evicts, Group 3 kernels reload.
-        let pair_occ = gpu.occupancy(pair.tb, pair.tb_sm);
+        let pair_occ = self
+            .kernel_params(cfg, KernelId::Pairwise)
+            .map_or(f64::NAN, |pair| gpu.occupancy(pair.tb, pair.tb_sm));
         let g3_cache_penalty = 1.0 + 0.9 * pair_occ;
 
         let kt = |k: KernelId, batch: usize, cache_penalty: f64| -> f64 {
-            let params = self.kernel_params(cfg, k);
-            KernelCost::new(gpu, k, params).time(n * batch) * cache_penalty
+            self.kernel_params(cfg, k).map_or(f64::NAN, |params| {
+                KernelCost::new(gpu, k, params).time(n * batch) * cache_penalty
+            })
         };
 
         // FFT: only nbatches (work size / batching efficiency) matters
@@ -460,13 +480,17 @@ impl Objective for TddftSimulator {
         let sp = &self.space;
         let mut pairs: Vec<(String, f64)> = Vec::with_capacity(20);
         // MPI grid: rejection over 3 dims only (high acceptance).
+        let grid = (sp.def_of("nstb"), sp.def_of("nkpb"), sp.def_of("nspb"));
+        let (Ok(stb), Ok(kpb), Ok(spb)) = grid else {
+            return None;
+        };
         for _ in 0..1000 {
             let draw = |def: &cets_space::ParamDef, rng: &mut dyn rand::Rng| -> f64 {
                 def.decode(rng.random::<f64>()).as_f64()
             };
-            let nstb = draw(sp.def_of("nstb").unwrap(), rng);
-            let nkpb = draw(sp.def_of("nkpb").unwrap(), rng);
-            let nspb = draw(sp.def_of("nspb").unwrap(), rng);
+            let nstb = draw(stb, rng);
+            let nkpb = draw(kpb, rng);
+            let nspb = draw(spb, rng);
             if (nstb * nkpb * nspb) as usize <= self.case.max_ranks {
                 pairs.push(("nstb".into(), nstb));
                 pairs.push(("nkpb".into(), nkpb));
@@ -509,9 +533,9 @@ impl Objective for TddftSimulator {
             pairs.push((format!("tb_sm_{s}"), 1.0));
         }
         let borrowed: Vec<(&str, f64)> = pairs.iter().map(|(n, v)| (n.as_str(), *v)).collect();
-        self.space
-            .config_from_pairs(&borrowed)
-            .expect("default config is valid")
+        // Every name exists and every value lies in its domain by
+        // construction, so this cannot fail.
+        self.space.config_from_pairs(&borrowed).unwrap_or_default()
     }
 }
 
@@ -772,5 +796,19 @@ mod tests {
             vec![1.0, 2.0, 3.0, 4.0, 6.0, 9.0, 12.0, 18.0, 36.0]
         );
         assert_eq!(divisors(1), vec![1.0]);
+    }
+
+    #[test]
+    fn missing_parameter_simulates_as_nan() {
+        let sim = TddftSimulator::new(CaseStudy::case1());
+        let cfg = sim.default_config();
+        // Without its last parameter (a kernel's tb_sm) and without any.
+        let short = &cfg[..cfg.len() - 1];
+        for partial in [short.to_vec(), vec![]] {
+            let b = sim.simulate(&partial);
+            assert!(b.total.is_nan() && b.slater.is_nan(), "{b:?}");
+            assert!(sim.evaluate(&partial).total.is_nan());
+        }
+        assert!(sim.simulate(&cfg).total.is_finite());
     }
 }

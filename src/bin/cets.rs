@@ -48,7 +48,7 @@
 
 use cets::core::{
     render_markdown, BoConfig, FaultPlan, FaultyObjective, Methodology, MethodologyConfig,
-    Objective, ResilienceConfig, SystemClock, VariationPolicy,
+    Objective, SystemClock, VariationPolicy,
 };
 use cets::synthetic::{SyntheticCase, SyntheticFunction};
 use cets::tddft::{CaseStudy, TddftSimulator};
@@ -119,12 +119,11 @@ fn usage() {
     eprintln!("                       any thread count — only wall-clock time changes");
     eprintln!("  --report <path>      also write the markdown report to a file");
     eprintln!("  --db <path>          (tddft) save the evaluation database as JSON");
-    eprintln!("  --resilient          run execution under the fault-tolerant layer:");
-    eprintln!("                       panics are contained, non-finite results screened,");
-    eprintln!("                       and the report gains a per-search failure ledger");
     eprintln!("  --inject-flaky <p>   (synthetic) deterministically inject faults (panics,");
-    eprintln!("                       NaNs) into a fraction p of evaluations; implies");
-    eprintln!("                       --resilient — a demo of graceful degradation");
+    eprintln!("                       NaNs) into a fraction p of evaluations — a demo of");
+    eprintln!("                       graceful degradation: every run contains panics,");
+    eprintln!("                       screens non-finite results and reports a per-search");
+    eprintln!("                       failure ledger");
     eprintln!("  --gp-tier <t>        surrogate tier: `auto` (default; exact GP below the");
     eprintln!("                       escalation threshold, sparse SGPR above), `auto:N`");
     eprintln!("                       (auto with threshold N), `exact`, or `sparse`");
@@ -235,7 +234,6 @@ fn main() -> ExitCode {
             }
         },
     };
-    let resilient = args.get_str("resilient").is_some() || flaky_rate.is_some();
     let gp_cfg = {
         let mut gp = cets::gp::GpConfig::default();
         if let Some(v) = args.get_str("gp-tier") {
@@ -292,7 +290,6 @@ fn main() -> ExitCode {
                     ..Default::default()
                 },
                 evals_per_dim,
-                resilience: resilient.then(ResilienceConfig::default),
                 ..Default::default()
             });
             // Analyze on the raw routine scale, execute against the
@@ -321,7 +318,7 @@ fn main() -> ExitCode {
             let exec = match flaky_rate {
                 Some(rate) => {
                     // Demo of graceful degradation: a seeded fraction of
-                    // evaluations panics or returns NaN; the resilient layer
+                    // evaluations panics or returns NaN; the guarded executor
                     // contains both. The default panic hook would spam a
                     // backtrace per injected crash, so silence it.
                     std::panic::set_hook(Box::new(|_| {}));
@@ -392,7 +389,6 @@ fn main() -> ExitCode {
                     ..Default::default()
                 },
                 evals_per_dim,
-                resilience: resilient.then(ResilienceConfig::default),
                 ..Default::default()
             });
             run_pipeline(
